@@ -81,7 +81,6 @@ Cache::request(const CacheReq &req)
         // The push below becomes the new head: every head-derived memo
         // must go, and a kTimed "nothing until sleepUntil_" verdict
         // tightens to the new head's service time.
-        selfValid_ = false;
         memoValid_ = false;
         if (qMemo_ == QMemo::kTimed)
             sleepUntil_ = std::min(sleepUntil_, now_ + cfg_.latency);
@@ -122,7 +121,6 @@ Cache::tagsHold(Addr line) const
 bool
 Cache::invalidateLine(Addr line)
 {
-    selfValid_ = false;
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
     line = lineAlign(line);
@@ -140,13 +138,6 @@ Cache::invalidateLine(Addr line)
 void
 Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
-    // Installing a line other than the head's cannot break a kForward
-    // verdict (the head still misses: evictions only remove lines the
-    // head was not hitting anyway — see complete). Any other
-    // class, or an install of the head's own line, must reclassify.
-    if (selfClass_ != SelfClass::kForward ||
-        (!queue_.empty() && lineAlign(queue_.front().req.addr) == line))
-        selfValid_ = false;
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
     auto &set = sets_[setIndex(line)];
@@ -308,15 +299,6 @@ void
 Cache::complete(const std::uint64_t &tag)
 {
     dx_assert(tag < mshrs_.size(), cfg_.name, ": bogus fill tag");
-    // A fill cannot break a kForward verdict: it frees an MSHR (one
-    // stays free), installs a line that by construction is not the
-    // head's (a head with an MSHR in flight would have classified as
-    // coalesce or target-full), and evicts at most a line the head
-    // already missed on. Every other class can genuinely change —
-    // a freed MSHR unblocks kMshrFull, a fill can turn kNone's hit
-    // into a miss via eviction — so those reclassify.
-    if (selfClass_ != SelfClass::kForward)
-        selfValid_ = false;
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
     Mshr &m = mshrs_[tag];
@@ -392,7 +374,6 @@ Cache::tick()
 {
     ++now_;
     memoValid_ = false;
-    selfValid_ = false;
     qMemo_ = QMemo::kNone;
     drainWritebacks();
 
@@ -447,36 +428,23 @@ Cache::drained() const
 Cache::HeadStall
 Cache::headStall() const
 {
-    const Addr line = lineAlign(queue_.front().req.addr);
-    if (!selfValid_) {
-        const CacheReq &req = queue_.front().req;
-        if (tagsHold(line) || (req.write && req.fullLine)) {
-            // Hit, or a full-line write allocating in place.
-            selfClass_ = SelfClass::kNone;
-        } else if (const int existing = mshrFor(line); existing >= 0) {
-            const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-            selfClass_ = m.targets.size() >= cfg_.targetsPerMshr
-                             ? SelfClass::kMshrFull
-                             : SelfClass::kNone; // coalesce (or drop)
-        } else if (mshrsInUse_ >= cfg_.mshrs) {
-            selfClass_ = SelfClass::kMshrFull;
-        } else {
-            selfClass_ = SelfClass::kForward;
-        }
-        selfValid_ = true;
-    }
-    switch (selfClass_) {
-      case SelfClass::kNone:
+    const CacheReq &req = queue_.front().req;
+    const Addr line = lineAlign(req.addr);
+    // Hit, or a full-line write allocating in place.
+    if (tagsHold(line) || (req.write && req.fullLine))
         return HeadStall::kNone;
-      case SelfClass::kMshrFull:
-        return HeadStall::kMshrFull;
-      case SelfClass::kForward:
-        break;
+    if (const int existing = mshrFor(line); existing >= 0) {
+        const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
+        return m.targets.size() >= cfg_.targetsPerMshr
+                   ? HeadStall::kMshrFull
+                   : HeadStall::kNone; // coalesce (or drop)
     }
+    if (mshrsInUse_ >= cfg_.mshrs)
+        return HeadStall::kMshrFull;
     CacheReq probe;
     probe.addr = line;
     return downstream_->canAcceptReq(probe) ? HeadStall::kNone
-                                                : HeadStall::kDownstream;
+                                            : HeadStall::kDownstream;
 }
 
 bool

@@ -264,32 +264,14 @@ class Cache final : public Component,
 
     /**
      * One-decision memo: quiescent() stores the headStall() it computed
-     * so the skipCycles() that immediately follows (same cycle, no
-     * intervening state change) reuses it instead of re-scanning the
-     * MSHRs. Consumed-and-cleared by skipCycles(); never carried across
-     * cycles because downstream queue space can change without this
-     * cache seeing a call.
+     * so the skipCycles() that follows reuses it instead of re-scanning
+     * the MSHRs. Every slow quiescent() probe refreshes it and the entry
+     * points that clear qMemo_ clear it too, so it is only carried
+     * across skipped cycles by the kMshrFull verdict, which depends on
+     * this cache's own state alone.
      */
     mutable HeadStall memoStall_ = HeadStall::kNone;
     mutable bool memoValid_ = false;
-
-    /**
-     * Cross-cycle memo of headStall()'s *own-state* part: everything
-     * the classification reads except downstream queue space (tag
-     * store, MSHR occupancy, the head request) only changes through
-     * this cache's own entry points, so the expensive scans run once
-     * per state change instead of once per scheduler query. kForward
-     * ("would allocate and forward") still rechecks the downstream
-     * port on every query — that state changes behind our back.
-     */
-    enum class SelfClass : std::uint8_t
-    {
-        kNone,     //!< head would make progress regardless of downstream
-        kMshrFull, //!< MSHR or coalesce-target structural stall
-        kForward,  //!< would forward if the downstream port accepts
-    };
-    mutable SelfClass selfClass_ = SelfClass::kNone;
-    mutable bool selfValid_ = false;
 
     /**
      * Cross-cycle memo of the whole quiescent() verdict, so the common

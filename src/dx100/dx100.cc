@@ -14,7 +14,6 @@ Dx100::Dx100(const Dx100Config &cfg, mem::DramSystem &dram,
              cache::CachePort *llcPort, CoherencyAgent agent,
              unsigned maxCores)
     : Component("dx100"), cfg_(cfg), dram_(dram),
-      llcPopAddr_(llcPort ? llcPort->popCountAddr() : nullptr),
       agent_(agent),
       tlb_(cfg.tlbEntries, cfg.tlbMissPenalty),
       doorbells_(maxCores), sideband_(maxCores),
@@ -62,7 +61,6 @@ Dx100::registerRegion(Addr base, Addr size)
 void
 Dx100::mmioWrite(Addr addr, std::uint64_t data, int coreId)
 {
-    qMemo_ = QMemo::kNone;
     if (addr >= cfg_.rfBase() &&
         addr < cfg_.rfBase() + cfg_.numRegs * 8) {
         regs_[(addr - cfg_.rfBase()) / 8] = data;
@@ -379,7 +377,6 @@ Dx100::StreamSink::complete(const std::uint64_t &tag)
     (void)tag;
     StreamUnit &u = owner->stream_;
     dx_assert(u.outstanding > 0, "stray stream response");
-    owner->qMemo_ = QMemo::kNone;
     u.waitIdle = false;
     u.waitGated = false;
     --u.outstanding;
@@ -404,8 +401,6 @@ Dx100::streamStart(StreamUnit &u)
     u.outstanding = 0;
     u.linesDone = 0;
     u.waitIdle = false;
-    u.waitBlocked = false;
-    u.waitPops = 0;
     u.waitGated = false;
     u.gatePrefix = 0;
 
@@ -478,20 +473,14 @@ Dx100::streamTick(StreamUnit &u)
         return;
 
     // Nothing issued and not retired: classify whether the next tick
-    // is a provable no-op (see StreamUnit::waitIdle).
+    // is a provable no-op (see StreamUnit::waitIdle). A line the LLC
+    // refused admission sets neither flag, so the unit keeps retrying.
     if (u.issuePos >= u.lines.size() ||
         u.outstanding >= cfg_.requestTableSize) {
         // All issued, or the request table is full: only a response
         // can make the next tick productive.
         u.waitIdle = true;
-        u.waitBlocked = false;
-    } else if (u.issuePos < allowedLines) {
-        // A line was sendable but the LLC refused admission: sleep
-        // until the port records a departure.
-        u.waitIdle = true;
-        u.waitBlocked = true;
-        u.waitPops = drainPops();
-    } else {
+    } else if (u.issuePos >= allowedLines) {
         // Gated on a producer's finish bits. The producer may advance
         // in a later unit tick of this same cycle, so record the gate
         // value for quiescent() to revalidate rather than trusting it.
@@ -507,7 +496,6 @@ Dx100::streamTick(StreamUnit &u)
 void
 Dx100::LlcSink::complete(const std::uint64_t &tag)
 {
-    owner->qMemo_ = QMemo::kNone;
     owner->indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(tag), true});
     owner->indirect_.waitIdle = false;
@@ -520,7 +508,6 @@ void
 Dx100::complete(const mem::MemRequest &req)
 {
     dx_assert(!req.write, "unexpected DRAM write response");
-    qMemo_ = QMemo::kNone;
     indirect_.responses.push_back(
         {static_cast<IndirectTables::ColHandle>(req.tag), false});
     indirect_.waitIdle = false;
@@ -544,8 +531,6 @@ Dx100::indirectStart(IndirectUnit &u)
     u.pendingWrites.clear();
     u.outstandingReads = 0;
     u.waitIdle = false;
-    u.waitBlocked = false;
-    u.waitPops = 0;
     u.waitFillStall = false;
     u.needsWriteback = p.instr.op != Opcode::kIld;
     tables_.reset(u.n);
@@ -783,18 +768,15 @@ Dx100::indirectTick(IndirectUnit &u)
                         u.tlbStall == 0 && u.fillPos == pos0 &&
                         u.skippedAtFill == skip0;
     }
-    if (!consumed && !wrSent && !rqSent &&
+    if (!consumed && !wrSent && !rqSent && !wrBlocked && !rqBlocked &&
         (wasDrainDone || fillStallOnly)) {
         // This cycle moved nothing (or only re-counted a fill stall):
         // every issued request is in flight, so the next tick is a
         // provable no-op until a response arrives (the response entry
-        // points clear waitIdle) — or, when a send was merely refused
-        // admission, until the blocking ports record a departure.
+        // points clear waitIdle). A send refused admission retries
+        // every tick instead.
         u.waitIdle = true;
         u.waitFillStall = fillStallOnly;
-        u.waitBlocked = wrBlocked || rqBlocked;
-        if (u.waitBlocked)
-            u.waitPops = drainPops();
     }
     if (indirectDone(u))
         retire(UnitKind::kIndirect);
@@ -816,18 +798,6 @@ Dx100::skipCycles(Cycle n)
         // counted one dispatch stall.
         stats_.dispatchStalls += n;
     }
-}
-
-std::uint64_t
-Dx100::drainPops() const
-{
-    if (llcPopAddr_)
-        return *llcPopAddr_ + dram_.dequeueCount();
-    const std::uint64_t llc =
-        llcPort_ ? llcPort_->popCount() : 0;
-    if (llc == cache::kPortPopsUnknown)
-        return cache::kPortPopsUnknown;
-    return llc + dram_.dequeueCount();
 }
 
 void
@@ -863,7 +833,6 @@ Dx100::SpdPort::canAccept() const
 void
 Dx100::SpdPort::request(const cache::CacheReq &req)
 {
-    owner->qMemo_ = QMemo::kNone;
     queue.push_back({owner->now_ + owner->cfg_.spdReadLatency, req});
     if (!req.write)
         owner->markSpdCached(req.addr);
@@ -919,7 +888,6 @@ void
 Dx100::tick()
 {
     ++now_;
-    qMemo_ = QMemo::kNone;
     spdTick();
     streamTick(stream_);
     indirectTick(indirect_);
@@ -949,61 +917,6 @@ Dx100::debugDump() const
        << " rng=" << (range_.busy ? "busy" : "idle")
        << " spdQ=" << spdPort_.queue.size();
     return os.str();
-}
-
-bool
-Dx100::quiescentSlow() const
-{
-    // A busy stream or indirect unit is quiescent only in its
-    // wait-idle state (see {Stream,Indirect}Unit::waitIdle):
-    // everything issued and in flight, with any admission-blocked
-    // send still blocked (no port departures since the memo). A
-    // backlogged inputQueue_ is quiescent only while the last
-    // dispatch scan's verdict is frozen (dispatchWait_); each skipped
-    // cycle then accounts one dispatch stall closed-form.
-    qMemo_ = QMemo::kNone;
-    const bool indirectBlocked = indirect_.busy && indirect_.waitBlocked;
-    const bool indirectIdle =
-        !indirect_.busy ||
-        (indirect_.waitIdle &&
-         (!indirect_.waitBlocked ||
-          (indirect_.waitPops != cache::kPortPopsUnknown &&
-           drainPops() == indirect_.waitPops)));
-    const bool streamWaiting = stream_.busy && stream_.waitIdle;
-    const bool streamBlocked = streamWaiting && stream_.waitBlocked;
-    const bool streamIdle =
-        !stream_.busy ||
-        (stream_.waitIdle &&
-         (!stream_.waitBlocked ||
-          (stream_.waitPops != cache::kPortPopsUnknown &&
-           drainPops() == stream_.waitPops))) ||
-        (stream_.waitGated &&
-         gateLimit(stream_.active) == stream_.gatePrefix);
-    const bool verdict =
-        streamIdle && indirectIdle && !alu_.busy && !range_.busy &&
-        (inputQueue_.empty() || dispatchWait_) &&
-        (spdPort_.queue.empty() ||
-         spdPort_.queue.front().first > now_);
-    if (!verdict)
-        return false;
-
-    // Memoize: every input is frozen until tick()/an entry point runs
-    // (they clear the memo), except the clock against the SPD head and
-    // - when a wait-idle unit is admission-blocked - the downstream
-    // departure count, which the inline fast path rechecks.
-    qSleepUntil_ = spdPort_.queue.empty()
-                       ? kNeverCycle
-                       : spdPort_.queue.front().first;
-    if (indirectBlocked || streamBlocked) {
-        const std::uint64_t pops = drainPops();
-        if (pops != cache::kPortPopsUnknown) {
-            qMemo_ = QMemo::kBlocked;
-            qPops_ = pops;
-        }
-    } else {
-        qMemo_ = QMemo::kTimed;
-    }
-    return true;
 }
 
 bool

@@ -158,28 +158,30 @@ class Dx100 final : public Component,
     /**
      * Quiescence contract (see DESIGN.md): tick() would be a no-op —
      * every unit idle, nothing queued for dispatch, no scratchpad read
-     * due. One exception: a busy indirect unit in its wait-idle drain
-     * state (everything issued and in flight, nothing consumable, any
-     * admission-blocked send still blocked) is quiescent, because its
-     * tick is then provably side-effect free until a memory response
-     * or port departure. All other busy-but-blocked unit states still
-     * tick (conservative: their retries and stall counters must match
-     * the naive loop).
-     *
-     * Inline fast path: the verdict is memoized across probes (see
-     * QMemo below), so the common wait-idle shapes cost a compare —
-     * or a compare plus a port pop-count read — per scheduler query.
+     * due. One exception: a busy stream or indirect unit in its
+     * wait-idle state (everything issued and in flight, nothing
+     * consumable) is quiescent, because its tick is then provably side-
+     * effect free until a memory response. A unit whose last send was
+     * refused admission by the LLC or DRAM never enters wait-idle, so
+     * it keeps ticking (and retrying) like every other busy-but-blocked
+     * unit state: conservative, since its retries and stall counters
+     * must match the naive loop. A backlogged input queue is quiescent
+     * only while the last dispatch scan's verdict is frozen
+     * (dispatchWait_); each skipped cycle then accounts one dispatch
+     * stall closed-form.
      */
     bool
     quiescent() const override
     {
-        if (qMemo_ == QMemo::kTimed && now_ + 1 < qSleepUntil_)
-            return true;
-        if (qMemo_ == QMemo::kBlocked && now_ + 1 < qSleepUntil_ &&
-            drainPops() == qPops_) {
-            return true;
-        }
-        return quiescentSlow();
+        const bool streamIdle =
+            !stream_.busy || stream_.waitIdle ||
+            (stream_.waitGated &&
+             gateLimit(stream_.active) == stream_.gatePrefix);
+        return streamIdle && (!indirect_.busy || indirect_.waitIdle) &&
+               !alu_.busy && !range_.busy &&
+               (inputQueue_.empty() || dispatchWait_) &&
+               (spdPort_.queue.empty() ||
+                spdPort_.queue.front().first > now_);
     }
 
     /**
@@ -288,16 +290,14 @@ class Dx100 final : public Component,
 
         /**
          * Set by streamTick() after a cycle that issued nothing and
-         * could not retire: the next tick is a provable no-op until a
-         * response arrives (StreamSink::complete clears the
-         * flag) or, when the LLC refused admission (waitBlocked),
-         * until a port departure (watched via waitPops). Never set
-         * while gated on a producer's finish bits — those advance in
-         * later unit ticks of the same cycle.
+         * could not retire because everything is issued or the request
+         * table is full: the next tick is a provable no-op until a
+         * response arrives (StreamSink::complete clears the flag).
+         * Never set when the LLC refused admission, nor while gated on
+         * a producer's finish bits — those advance in later unit ticks
+         * of the same cycle.
          */
         bool waitIdle = false;
-        bool waitBlocked = false;
-        std::uint64_t waitPops = 0;
 
         /**
          * The no-issue cycle was gated on a producer's finish bits at
@@ -345,14 +345,10 @@ class Dx100 final : public Component,
          * Set by indirectTick() after a cycle that moved nothing: the
          * drain phase with every issued request in flight. The next
          * tick is provably a no-op until a response arrives (the
-         * response entry points clear the flag) — or, when a sendable
-         * request/write was merely blocked on DRAM/LLC admission
-         * (waitBlocked), until those ports record a departure
-         * (watched via waitPops, see CachePort::popCount).
+         * response entry points clear the flag). Never set when a
+         * sendable request/write was refused DRAM/LLC admission.
          */
         bool waitIdle = false;
-        bool waitBlocked = false;
-        std::uint64_t waitPops = 0;
 
         /**
          * The wait-idle cycle was a slice-full fill retry: the only
@@ -373,13 +369,6 @@ class Dx100 final : public Component,
     /** Returns {sent any write, head write blocked on admission}. */
     std::pair<bool, bool> indirectWrites(IndirectUnit &u);
     bool indirectDone(const IndirectUnit &u) const;
-
-    /**
-     * Combined departure count of the ports the indirect drain loop
-     * can block on (LLC input queue + DRAM request buffers);
-     * kPortPopsUnknown if the LLC port cannot track departures.
-     */
-    std::uint64_t drainPops() const;
 
     // ---- fixed-throughput units ------------------------------------------
 
@@ -410,8 +399,6 @@ class Dx100 final : public Component,
     mem::DramSystem &dram_;
     //! Cache interface (may stay unbound in unit tests).
     PortSlot<cache::CacheReq> llcPort_{"llc"};
-    //! LLC pop counter, resolved once at wiring (null if untracked).
-    const std::uint64_t *llcPopAddr_ = nullptr;
     CoherencyAgent agent_;
     Tlb tlb_;
     RegionDirectory *regionDir_ = nullptr;
@@ -437,30 +424,6 @@ class Dx100 final : public Component,
      * a skipped cycle accounts one dispatchStalls bump closed-form.
      */
     bool dispatchWait_ = false;
-
-    /**
-     * Cross-probe memo of the quiescent() verdict. Everything the
-     * verdict reads — unit wait flags, finish-bit gates, the dispatch
-     * memo, the SPD queue — mutates only through tick() and the
-     * external entry points (mmioWrite, the response sinks, SPD port
-     * requests), all of which clear the memo. Two residual inputs are
-     * rechecked inline: the clock (qSleepUntil_ bounds validity at the
-     * SPD queue head) and, for kBlocked, the downstream departure
-     * count (an admission-blocked send stays blocked while no entry
-     * left the LLC/DRAM queues — arrivals never free space).
-     */
-    enum class QMemo : std::uint8_t
-    {
-        kNone,
-        kTimed,   //!< verdict is pops-independent
-        kBlocked, //!< verdict also pinned on drainPops() == qPops_
-    };
-    mutable QMemo qMemo_ = QMemo::kNone;
-    mutable Cycle qSleepUntil_ = 0;
-    mutable std::uint64_t qPops_ = 0;
-
-    /** Full verdict recomputation; (re)establishes the memo. */
-    bool quiescentSlow() const;
 
     std::deque<ExecPayload> inputQueue_;
     std::vector<std::uint64_t> regs_;

@@ -132,7 +132,6 @@ MemoryController::tick()
 
     if (tryRefresh()) {
         eventHintValid_ = false;
-        idleStreak_ = 0;
         return;
     }
 
@@ -161,10 +160,6 @@ MemoryController::tick()
     // awake until the next productive tick.
     if (productive || (eventHintValid_ && eventHint_ <= now_))
         eventHintValid_ = false;
-    if (productive)
-        idleStreak_ = 0;
-    else if (idleStreak_ < 2)
-        ++idleStreak_;
 }
 
 bool

@@ -94,21 +94,11 @@ class MemoryController final : public Component
      * would be a no-op except for the closed-form per-cycle stats
      * (cycles, occupancyAccum) — no response due, no refresh activity,
      * no write-mode toggle, no command issuable.
-     *
-     * Fast-out: a productive tick invalidated the event hint, so a
-     * probe right after one would pay a full queue/bank rescan. While
-     * the channel is streaming commands that rescan would conclude
-     * "busy" anyway, so report busy without computing the hint
-     * (conservative — a stale "false" only degrades to ticking). The
-     * streak threshold adds hysteresis: inter-command gaps of a cycle
-     * or two — the common case under bank-conflict traffic — never pay
-     * the rescan, which would buy no skip anyway; only a sustained
-     * unproductive stretch re-enables real hint probing.
      */
     bool
     quiescent() const override
     {
-        return idleStreak_ >= 2 && nextEventAt() > now_ + 1;
+        return nextEventAt() > now_ + 1;
     }
 
     /**
@@ -265,11 +255,6 @@ class MemoryController final : public Component
     // state changes (tick, enqueue) invalidate — skipCycles keeps it.
     mutable Cycle eventHint_ = 0;
     mutable bool eventHintValid_ = false;
-
-    // Consecutive ticks with no command / delivery / refresh / toggle:
-    // quiescent() short-circuits to busy until the streak shows the
-    // channel has genuinely gone quiet (see the fast-out comment).
-    std::uint8_t idleStreak_ = 2;
 
     Stats stats_;
 };

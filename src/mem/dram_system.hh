@@ -66,14 +66,10 @@ class DramSystem final : public Component
      * controller-clock edge via their closed-form skipCycles instead of
      * ticking them. Observable-state equivalent to tick(). Returns
      * true when no channel had to run (off-phase cycle or all skipped).
+     * This replaces the quiescent() probe for the DRAM layer: the
+     * scheduler asks nextEventAt() only after a fully skipped cycle.
      */
     bool tickScheduled();
-
-    /**
-     * No channel can act at the next core cycle (the clock-domain
-     * analogue of the component quiescent() predicates).
-     */
-    bool quiescent() const override { return nextEventAt() > now_ + 1; }
 
     /**
      * Earliest *core* cycle any channel could act, translated from the

@@ -65,8 +65,11 @@ class Component
     // ---- tick/quiescence contract (DESIGN.md §4c) ----------------------
     //
     // Passive components (never ticked — e.g. a prefetcher that acts
-    // inside its cache's tick) inherit the no-op defaults; every ticked
-    // component overrides the full set.
+    // inside its cache's tick) inherit the no-op defaults. The core,
+    // caches, DX100 and memory controllers override the full set. Two
+    // ticked components do not override quiescent(): DramSystem, which
+    // System steps through tickScheduled(), and System itself, which
+    // run() steps through tickScheduled()/skipTo().
 
     /** Advance one local-clock cycle. */
     virtual void tick() {}

@@ -247,29 +247,6 @@ runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg)
     return stats;
 }
 
-RunStats
-runWorkload(const wl::WorkloadEntry &entry, const SystemConfig &cfg,
-            const std::string &configTag, const ExpOptions &opt)
-{
-    const std::filesystem::path path =
-        cachePath(opt.cacheDir, entry.name, configTag, opt.scale);
-
-    if (opt.useCache) {
-        if (auto cached = loadCachedStats(path)) {
-            dx_inform("[cached] ", entry.name, " ", configTag);
-            return *cached;
-        }
-    }
-
-    dx_inform("[run] ", entry.name, " ", configTag, " ...");
-    auto w = entry.make(wl::Scale{opt.scale});
-    const RunStats stats = runWorkloadOnce(*w, cfg);
-
-    if (opt.useCache)
-        storeCachedStats(path, stats);
-    return stats;
-}
-
 double
 geomean(const std::vector<double> &values)
 {

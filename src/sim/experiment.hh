@@ -66,16 +66,6 @@ std::optional<RunStats> loadCachedStats(const std::filesystem::path &p);
  */
 void storeCachedStats(const std::filesystem::path &p, const RunStats &s);
 
-/**
- * Run @p entry on a system built from @p cfg (tagged @p configTag for
- * the cache), verifying the output. Results are cached per
- * (workload, tag, scale).
- */
-RunStats runWorkload(const wl::WorkloadEntry &entry,
-                     const SystemConfig &cfg,
-                     const std::string &configTag,
-                     const ExpOptions &opt);
-
 /** Run a concrete Workload instance without caching. */
 RunStats runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg);
 

@@ -369,38 +369,6 @@ System::tickScheduled()
     return std::min(ev, dram_->nextEventAt());
 }
 
-Cycle
-System::quiescentHorizon() const
-{
-    Cycle best = kNeverCycle;
-    for (const auto &c : cores_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    for (const auto &c : l1s_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    for (const auto &c : l2s_) {
-        if (!c->quiescent())
-            return 0;
-        best = std::min(best, c->nextEventAt());
-    }
-    if (!llc_->quiescent())
-        return 0;
-    best = std::min(best, llc_->nextEventAt());
-    for (const auto &d : dxs_) {
-        if (!d->quiescent())
-            return 0;
-        best = std::min(best, d->nextEventAt());
-    }
-    if (!dram_->quiescent())
-        return 0;
-    return std::min(best, dram_->nextEventAt());
-}
-
 void
 System::skipTo(Cycle target)
 {
@@ -460,8 +428,17 @@ System::run(Cycle maxCycles)
             if (horizon > now_ + 1)
                 skipTo(std::min(horizon - 1, limit));
         }
-        if (now_ - start >= maxCycles)
-            dx_fatal("simulation exceeded cycle limit");
+        if (now_ - start >= maxCycles) {
+            // Name what is stuck: every component still holding work.
+            std::string stuck;
+            forEachComponent(*this, [&](const Component &c) {
+                if (&c != this && !c.drained())
+                    stuck += " " + c.path();
+            });
+            dx_fatal("simulation exceeded cycle limit at cycle ", now_,
+                     " (limit ", limit, " = start ", start, " + ",
+                     maxCycles, "); not drained:", stuck);
+        }
     }
 
     RunStats s = collectStats();

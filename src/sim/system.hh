@@ -204,25 +204,17 @@ class System final : public Component
      * Returns 0 when some component had to run, else the earliest
      * nextEventAt() across all components. In the latter case every
      * skip this cycle was side-effect-free, so the per-slot hints
-     * double as a proven fast-forward horizon (same soundness argument
-     * as quiescentHorizon(), without a second predicate sweep): run()
-     * may skipTo(min(returned - 1, limit)) immediately.
+     * double as a proven fast-forward horizon: while all components
+     * are quiescent no cross-component callbacks occur, so no event
+     * can move earlier, and run() may skipTo(min(returned - 1, limit))
+     * immediately.
      */
     Cycle tickScheduled();
 
     /**
-     * If *every* component is quiescent, the earliest cycle any of
-     * them could act (conservative; kNeverCycle when none has a timed
-     * event); 0 when some component is active. Fast-forward is sound
-     * only in the first case: while all components are quiescent no
-     * cross-component callbacks occur, so no event can move earlier.
-     */
-    Cycle quiescentHorizon() const;
-
-    /**
      * Closed-form advance of every component (and the global clock)
      * to cycle @p target. Caller must have proven quiescence through
-     * @p target via quiescentHorizon().
+     * @p target, i.e. target < the horizon tickScheduled() returned.
      */
     void skipTo(Cycle target);
 
@@ -239,11 +231,8 @@ class System final : public Component
     /** Current global cycle. */
     Cycle now() const { return now_; }
 
-    // Component contract for the root: the whole-system predicates are
-    // the aggregates the run loop already computes.
-    bool quiescent() const override { return quiescentHorizon() != 0; }
-    Cycle nextEventAt() const override { return quiescentHorizon(); }
-    void skipCycles(Cycle n) override { skipTo(now_ + n); }
+    // The root is stepped by tickScheduled()/skipTo(), not through the
+    // per-component quiescent()/nextEventAt()/skipCycles() predicates.
     Cycle localNow() const override { return now_; }
     void registerStats(StatRegistry &reg) const override;
 

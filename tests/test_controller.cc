@@ -317,3 +317,24 @@ TEST(Controller, RandomRowsYieldLowRowHitRate)
     EXPECT_LT(dram.rowHitRate(), 0.4);
     EXPECT_LT(dram.busUtilization(), 0.7);
 }
+
+TEST(Controller, QuiescentRightAfterProductiveTick)
+{
+    // A tick that issues a command leaves the channel with nothing to
+    // do until the next bank timer expires. quiescent() must say so on
+    // the very next probe, so the scheduler can skip the wait at once.
+    DramSystem dram(testConfig());
+    Collector sink;
+    sink.dram = &dram;
+    dram.access(0, false, Origin::kCpuDemand, 1, &sink);
+
+    MemoryController &ch = dram.channel(0);
+    ch.tick();
+    ASSERT_EQ(ch.stats().actCommands.value(), 1u);
+    ASSERT_GE(ch.nextEventAt(), ch.now() + 2);
+    EXPECT_TRUE(ch.quiescent());
+
+    // Ticking on still serves the read.
+    runUntilIdle(dram);
+    ASSERT_EQ(sink.done.size(), 1u);
+}

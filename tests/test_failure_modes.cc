@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.hh"
 #include "runtime/dx100_api.hh"
 #include "sim/system.hh"
@@ -83,6 +86,24 @@ TEST(FailureDeathTest, OutOfOrderDoorbellWordsPanic)
     EXPECT_DEATH(dev->mmioWrite(dev->config().doorbellAddr(0, 1), 0,
                                 0),
                  "doorbell");
+}
+
+TEST(FailureDeathTest, CycleLimitOverrunNamesStuckComponents)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    System sys(SystemConfig::withDx100());
+    wl::GatherMicro w(wl::GatherMicro::Mode::kFull, 1024);
+    w.init(sys);
+    std::vector<std::unique_ptr<cpu::Kernel>> kernels;
+    for (unsigned c = 0; c < sys.cores(); ++c) {
+        kernels.push_back(w.makeKernel(sys, c, true));
+        sys.setKernel(c, kernels.back().get());
+    }
+    // Far too few cycles for the gather: the fatal must report where
+    // it stopped and which components still hold work.
+    EXPECT_DEATH(sys.run(200),
+                 "exceeded cycle limit at cycle 200 \\(limit 200.*"
+                 "not drained:.* system\\.core0( |$)");
 }
 
 TEST(FailureModes, TlbMissPenaltyIsVisibleInTiming)

@@ -176,50 +176,3 @@ TEST(QuiescenceProperty, LockstepTickSkipEquivalence)
     for (unsigned seed = 1; seed <= 12; ++seed)
         runLockstep(seed);
 }
-
-// The standalone fast-forward path: quiescentHorizon() promises that
-// while *all* components are quiescent nothing can act before the
-// horizon, so a loop that only ever skipTo's proven-quiescent
-// stretches (and naive-ticks everything else) must match the naive
-// reference bit-for-bit too. This exercises quiescentHorizon()/
-// skipTo() as an independent scheduling mode — tickScheduled()'s
-// fused horizon shares the soundness argument but not the code path.
-TEST(QuiescenceProperty, HorizonDrivenSkipMatchesNaive)
-{
-    for (unsigned seed = 100; seed < 104; ++seed) {
-        Rig naive = makeRig(seed, TickPolicy::kNaive);
-        Rig sched = makeRig(seed, TickPolicy::kQuiescent);
-        SCOPED_TRACE("seed " + std::to_string(seed) + ", workload " +
-                     naive.workload->name());
-        unsigned fastForwards = 0;
-        bool diverged = false;
-        while (!sched.sys->drained() && sched.sys->now() < kCycleCap) {
-            const Cycle horizon = sched.sys->quiescentHorizon();
-            if (horizon > sched.sys->now() + 1) {
-                sched.sys->skipTo(horizon - 1);
-                ++fastForwards;
-            } else {
-                sched.sys->tick();
-            }
-            while (naive.sys->now() < sched.sys->now())
-                naive.sys->tick();
-            const RunStats a = naive.sys->collectStats();
-            const RunStats b = sched.sys->collectStats();
-            if (!(a == b)) {
-                ADD_FAILURE()
-                    << "first divergence at cycle " << sched.sys->now()
-                    << ":\n"
-                    << diffStats(a, b);
-                diverged = true;
-                break;
-            }
-        }
-        if (diverged)
-            continue;
-        ASSERT_LT(sched.sys->now(), kCycleCap) << "run wedged";
-        EXPECT_TRUE(sched.workload->verify(*sched.sys));
-        // A trace that never fast-forwards would make this test
-        // vacuous for the skip path.
-        EXPECT_GT(fastForwards, 0u) << "trace never fast-forwarded";
-    }
-}
