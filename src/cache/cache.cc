@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -20,8 +21,16 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
     numSets_ = static_cast<unsigned>(lines / cfg_.assoc);
     dx_assert((numSets_ & (numSets_ - 1)) == 0,
               "set count must be a power of two");
-    sets_.assign(numSets_, std::vector<Way>(cfg_.assoc));
+    const std::size_t ways = std::size_t{numSets_} * cfg_.assoc;
+    tags_.assign(ways, kNoLine);
+    lastUse_.assign(ways, 0);
+    dirty_.assign(ways, 0);
+    prefetched_.assign(ways, 0);
     mshrs_.assign(cfg_.mshrs, Mshr{});
+    mshrHead_.assign(numSets_, kNoMshr);
+    freeMshrs_.assign((cfg_.mshrs + 63) / 64, ~std::uint64_t{0});
+    if (const unsigned tail = cfg_.mshrs % 64)
+        freeMshrs_.back() = (std::uint64_t{1} << tail) - 1;
 }
 
 void
@@ -36,35 +45,70 @@ Cache::setIndex(Addr line) const
     return static_cast<unsigned>((line >> kLineShift) & (numSets_ - 1));
 }
 
-Cache::Way *
-Cache::lookup(Addr line)
-{
-    auto &set = sets_[setIndex(line)];
-    for (auto &way : set) {
-        if (way.valid && way.tag == line)
-            return &way;
-    }
-    return nullptr;
-}
-
 int
-Cache::mshrFor(Addr line) const
+Cache::findWay(Addr line) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (mshrs_[i].valid && mshrs_[i].line == line)
-            return static_cast<int>(i);
+    const std::size_t base = std::size_t{setIndex(line)} * cfg_.assoc;
+    for (std::size_t w = base; w < base + cfg_.assoc; ++w) {
+        if (tags_[w] == line)
+            return static_cast<int>(w);
     }
     return -1;
 }
 
 int
-Cache::freeMshr() const
+Cache::findMshr(Addr line) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (!mshrs_[i].valid)
-            return static_cast<int>(i);
+    for (std::int32_t i = mshrHead_[setIndex(line)]; i != kNoMshr;
+         i = mshrs_[static_cast<unsigned>(i)].next) {
+        if (mshrs_[static_cast<unsigned>(i)].line == line)
+            return i;
     }
     return -1;
+}
+
+int
+Cache::lowestFreeMshr() const
+{
+    for (std::size_t w = 0; w < freeMshrs_.size(); ++w) {
+        if (freeMshrs_[w]) {
+            return static_cast<int>(w * 64 +
+                                    std::countr_zero(freeMshrs_[w]));
+        }
+    }
+    return -1;
+}
+
+Cache::Mshr &
+Cache::allocMshr(int idx, Addr line, bool dirtyOnFill, bool prefetch)
+{
+    const auto i = static_cast<unsigned>(idx);
+    freeMshrs_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    ++mshrsInUse_;
+    Mshr &m = mshrs_[i];
+    m.line = line;
+    m.dirtyOnFill = dirtyOnFill;
+    m.prefetch = prefetch;
+    m.targets.clear();
+    std::int32_t &head = mshrHead_[setIndex(line)];
+    m.next = head;
+    head = idx;
+    return m;
+}
+
+void
+Cache::releaseMshr(unsigned idx)
+{
+    Mshr &m = mshrs_[idx];
+    std::int32_t *link = &mshrHead_[setIndex(m.line)];
+    while (*link != static_cast<std::int32_t>(idx))
+        link = &mshrs_[static_cast<unsigned>(*link)].next;
+    *link = m.next;
+    m.next = kNoMshr;
+    m.line = kNoLine;
+    freeMshrs_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+    dx_assert(mshrsInUse_ > 0, cfg_.name, ": MSHR count underflow");
+    --mshrsInUse_;
 }
 
 bool
@@ -98,24 +142,13 @@ bool
 Cache::containsLine(Addr line) const
 {
     line = lineAlign(line);
-    const auto &set = sets_[setIndex(line)];
-    for (const auto &way : set) {
-        if (way.valid && way.tag == line)
-            return true;
-    }
-    return mshrFor(line) >= 0;
+    return findWay(line) >= 0 || findMshr(line) >= 0;
 }
 
 bool
 Cache::tagsHold(Addr line) const
 {
-    line = lineAlign(line);
-    const auto &set = sets_[setIndex(line)];
-    for (const auto &way : set) {
-        if (way.valid && way.tag == line)
-            return true;
-    }
-    return false;
+    return findWay(lineAlign(line)) >= 0;
 }
 
 bool
@@ -123,16 +156,16 @@ Cache::invalidateLine(Addr line)
 {
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
-    line = lineAlign(line);
-    auto &set = sets_[setIndex(line)];
-    for (auto &way : set) {
-        if (way.valid && way.tag == line) {
-            const bool dirty = way.dirty;
-            way = Way{};
-            return dirty;
-        }
-    }
-    return false;
+    const int way = findWay(lineAlign(line));
+    if (way < 0)
+        return false;
+    const auto w = static_cast<unsigned>(way);
+    const bool dirty = dirty_[w];
+    tags_[w] = kNoLine;
+    lastUse_[w] = 0;
+    dirty_[w] = 0;
+    prefetched_[w] = 0;
+    return dirty;
 }
 
 void
@@ -140,66 +173,110 @@ Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
-    auto &set = sets_[setIndex(line)];
-
     // Refill of a line that is already present (e.g. a full-line write
     // raced with a fill): just merge the dirty bit.
-    for (auto &way : set) {
-        if (way.valid && way.tag == line) {
-            way.dirty = way.dirty || dirty;
-            way.lastUse = ++useCounter_;
-            return;
-        }
+    if (const int way = findWay(line); way >= 0) {
+        const auto w = static_cast<unsigned>(way);
+        dirty_[w] = dirty_[w] || dirty;
+        lastUse_[w] = ++useCounter_;
+        return;
     }
 
-    Way *victim = nullptr;
-    for (auto &way : set) {
-        if (!way.valid) {
-            victim = &way;
+    // Victim: the first invalid way, else the first least recently
+    // used one.
+    const std::size_t base = std::size_t{setIndex(line)} * cfg_.assoc;
+    std::size_t victim = base;
+    for (std::size_t w = base; w < base + cfg_.assoc; ++w) {
+        if (tags_[w] == kNoLine) {
+            victim = w;
             break;
         }
-        if (!victim || way.lastUse < victim->lastUse)
-            victim = &way;
+        if (lastUse_[w] < lastUse_[victim])
+            victim = w;
     }
 
-    if (victim->valid) {
+    if (const Addr old = tags_[victim]; old != kNoLine) {
         ++stats_.evictions;
-        bool victimDirty = victim->dirty;
+        bool victimDirty = dirty_[victim];
         if (cfg_.inclusiveRoot) {
             for (Cache *child : children_) {
-                if (child->invalidateLine(victim->tag))
+                if (child->invalidateLine(old))
                     victimDirty = true;
                 ++stats_.backInvalidates;
             }
         }
         if (victimDirty) {
-            writebacks_.push_back(victim->tag);
+            writebacks_.push_back(old);
             ++stats_.writebacks;
         }
     }
 
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->lastUse = ++useCounter_;
+    tags_[victim] = line;
+    dirty_[victim] = dirty;
+    prefetched_[victim] = prefetched;
+    lastUse_[victim] = ++useCounter_;
+}
+
+Cache::Decision
+Cache::classify(const CacheReq &req) const
+{
+    const Addr line = lineAlign(req.addr);
+    if (const int way = findWay(line); way >= 0)
+        return {Action::kHit, way};
+
+    // Full-line writes (writebacks from above, bulk stores) allocate
+    // without fetching.
+    if (req.write && req.fullLine)
+        return {Action::kFullLineWrite};
+
+    // Miss. Coalesce into the line's outstanding MSHR if there is one.
+    if (const int existing = findMshr(line); existing >= 0) {
+        const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
+        if (m.targets.size() >= cfg_.targetsPerMshr)
+            return {Action::kMshrFull};
+        // A *local* prefetch racing a live fill is dropped. (A
+        // forwarded prefetch from an upper level carries a sink and
+        // must be answered, so it coalesces like a demand.)
+        if (req.origin == mem::Origin::kPrefetch && !req.sink)
+            return {Action::kDrop};
+        return {Action::kCoalesce, existing};
+    }
+
+    const int idx = lowestFreeMshr();
+    if (idx < 0)
+        return {Action::kMshrFull};
+    CacheReq probe;
+    probe.addr = line;
+    if (!downstream_->canAcceptReq(probe))
+        return {Action::kDownstreamFull};
+    return {Action::kAllocate, idx};
 }
 
 bool
 Cache::processRequest(const CacheReq &req)
 {
-    const Addr line = lineAlign(req.addr);
+    const Decision d = classify(req);
     const bool demand = req.origin == mem::Origin::kCpuDemand;
     const bool dxTraffic = req.origin == mem::Origin::kDx100;
 
-    Way *way = lookup(line);
-    if (way) {
+    switch (d.action) {
+      case Action::kMshrFull:
+        ++stats_.stallMshrFull;
+        return false;
+      case Action::kDownstreamFull:
+        ++stats_.stallDownstream;
+        return false;
+      case Action::kDrop:
+        return true;
+
+      case Action::kHit: {
+        const auto w = static_cast<unsigned>(d.index);
         if (demand) {
             ++stats_.demandAccesses;
             ++stats_.demandHits;
-            if (way->prefetched) {
+            if (prefetched_[w]) {
                 ++stats_.prefetchesUseful;
-                way->prefetched = false;
+                prefetched_[w] = 0;
             }
             if (prefetcher_)
                 prefetcher_->observe(req, false);
@@ -207,30 +284,20 @@ Cache::processRequest(const CacheReq &req)
             ++stats_.dxHits;
         }
         if (req.write)
-            way->dirty = true;
-        way->lastUse = ++useCounter_;
+            dirty_[w] = 1;
+        lastUse_[w] = ++useCounter_;
         if (req.sink)
             req.sink->complete(req.tag);
         return true;
-    }
+      }
 
-    // Full-line writes (writebacks from above, bulk stores) allocate
-    // without fetching.
-    if (req.write && req.fullLine) {
-        installLine(line, true, false);
+      case Action::kFullLineWrite:
+        installLine(lineAlign(req.addr), true, false);
         if (req.sink)
             req.sink->complete(req.tag);
         return true;
-    }
 
-    // Miss. Coalesce into an existing MSHR if one is outstanding.
-    const int existing = mshrFor(line);
-    if (existing >= 0) {
-        Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-        if (m.targets.size() >= cfg_.targetsPerMshr) {
-            ++stats_.stallMshrFull;
-            return false;
-        }
+      case Action::kCoalesce: {
         if (demand) {
             ++stats_.demandAccesses;
             ++stats_.demandMisses;
@@ -239,27 +306,16 @@ Cache::processRequest(const CacheReq &req)
                 prefetcher_->observe(req, true);
         } else if (dxTraffic) {
             ++stats_.dxMisses;
-        } else if (req.origin == mem::Origin::kPrefetch && !req.sink) {
-            // A *local* prefetch racing a live fill: drop it. (A
-            // forwarded prefetch from an upper level carries a sink
-            // and must be answered, so it coalesces like a demand.)
-            return true;
         }
-        if (req.sink || req.write)
-            m.targets.push_back({req.tag, req.sink, req.write});
+        if (req.sink || req.write) {
+            mshrs_[static_cast<unsigned>(d.index)].targets.push_back(
+                {req.tag, req.sink, req.write});
+        }
         return true;
-    }
+      }
 
-    const int idx = freeMshr();
-    if (idx < 0) {
-        ++stats_.stallMshrFull;
-        return false;
-    }
-    CacheReq probe;
-    probe.addr = line;
-    if (!downstream_->canAcceptReq(probe)) {
-        ++stats_.stallDownstream;
-        return false;
+      case Action::kAllocate:
+        break;
     }
 
     if (demand) {
@@ -271,13 +327,8 @@ Cache::processRequest(const CacheReq &req)
         ++stats_.dxMisses;
     }
 
-    Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-    m.valid = true;
-    ++mshrsInUse_;
-    m.line = line;
-    m.dirtyOnFill = req.write;
-    m.prefetch = req.origin == mem::Origin::kPrefetch;
-    m.targets.clear();
+    Mshr &m = allocMshr(d.index, lineAlign(req.addr), req.write,
+                        req.origin == mem::Origin::kPrefetch);
     if (req.sink || req.write)
         m.targets.push_back({req.tag, req.sink, req.write});
 
@@ -289,7 +340,7 @@ Cache::processRequest(const CacheReq &req)
     // level's prefetcher can train on the miss stream.
     down.pc = req.pc;
     down.value = req.value;
-    down.tag = static_cast<std::uint64_t>(idx);
+    down.tag = static_cast<std::uint64_t>(d.index);
     down.sink = this;
     downstream_->request(down);
     return true;
@@ -302,7 +353,7 @@ Cache::complete(const std::uint64_t &tag)
     qMemo_ = QMemo::kNone;
     memoValid_ = false;
     Mshr &m = mshrs_[tag];
-    dx_assert(m.valid, cfg_.name, ": fill for idle MSHR");
+    dx_assert(m.line != kNoLine, cfg_.name, ": fill for idle MSHR");
 
     installLine(m.line, m.dirtyOnFill, m.prefetch);
     if (m.prefetch)
@@ -312,9 +363,7 @@ Cache::complete(const std::uint64_t &tag)
         if (t.sink)
             t.sink->complete(t.tag);
     }
-    m = Mshr{};
-    dx_assert(mshrsInUse_ > 0, cfg_.name, ": MSHR count underflow");
-    --mshrsInUse_;
+    releaseMshr(static_cast<unsigned>(tag));
 }
 
 void
@@ -345,22 +394,16 @@ Cache::issuePrefetches()
             return;
         if (containsLine(line))
             continue;
-        const int idx = freeMshr();
+        line = lineAlign(line);
+        const int idx = lowestFreeMshr();
         CacheReq probe;
-        probe.addr = lineAlign(line);
+        probe.addr = line;
         if (idx < 0 || !downstream_->canAcceptReq(probe))
             return;
 
-        Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-        m.valid = true;
-        ++mshrsInUse_;
-        m.line = lineAlign(line);
-        m.dirtyOnFill = false;
-        m.prefetch = true;
-        m.targets.clear();
-
+        allocMshr(idx, line, false, true);
         CacheReq down;
-        down.addr = m.line;
+        down.addr = line;
         down.write = false;
         down.origin = mem::Origin::kPrefetch;
         down.tag = static_cast<std::uint64_t>(idx);
@@ -398,7 +441,7 @@ Cache::debugDump() const
        << " writebacks=" << writebacks_.size() << " mshrs:";
     for (unsigned i = 0; i < mshrs_.size(); ++i) {
         const Mshr &m = mshrs_[i];
-        if (!m.valid)
+        if (m.line == kNoLine)
             continue;
         os << " [" << i << " line=0x" << std::hex << m.line << std::dec
            << " targets=" << m.targets.size()
@@ -423,28 +466,6 @@ bool
 Cache::drained() const
 {
     return !busy() && (!prefetcher_ || !prefetcher_->pending());
-}
-
-Cache::HeadStall
-Cache::headStall() const
-{
-    const CacheReq &req = queue_.front().req;
-    const Addr line = lineAlign(req.addr);
-    // Hit, or a full-line write allocating in place.
-    if (tagsHold(line) || (req.write && req.fullLine))
-        return HeadStall::kNone;
-    if (const int existing = mshrFor(line); existing >= 0) {
-        const Mshr &m = mshrs_[static_cast<unsigned>(existing)];
-        return m.targets.size() >= cfg_.targetsPerMshr
-                   ? HeadStall::kMshrFull
-                   : HeadStall::kNone; // coalesce (or drop)
-    }
-    if (mshrsInUse_ >= cfg_.mshrs)
-        return HeadStall::kMshrFull;
-    CacheReq probe;
-    probe.addr = line;
-    return downstream_->canAcceptReq(probe) ? HeadStall::kNone
-                                            : HeadStall::kDownstream;
 }
 
 bool
@@ -479,17 +500,15 @@ Cache::quiescentSlow() const
     // accumulates. Nothing the stall depends on (MSHRs, downstream
     // queue space) can change except through external stimulus, which
     // re-evaluates quiescence.
-    memoStall_ = headStall();
+    memoStall_ = classify(queue_.front().req).action;
     memoValid_ = true;
-    switch (memoStall_) {
-      case HeadStall::kNone:
-        return false;
-      case HeadStall::kMshrFull:
+    if (memoStall_ == Action::kMshrFull) {
         // Unblocks only via a fill, which clears the memo.
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = kNeverCycle;
         return true;
-      case HeadStall::kDownstream: {
+    }
+    if (memoStall_ == Action::kDownstreamFull) {
         const std::uint64_t pops = downstreamPopAddr_
                                        ? *downstreamPopAddr_
                                        : downstream_->popCount();
@@ -498,9 +517,8 @@ Cache::quiescentSlow() const
             blockedPops_ = pops;
         }
         return true;
-      }
     }
-    return true; // unreachable
+    return false;
 }
 
 Cycle
@@ -522,19 +540,57 @@ Cache::skipCyclesSlow(Cycle n)
     if (!queue_.empty() && queue_.front().readyAt <= now_ + 1) {
         // The memo persists across skips: it is cleared by the entry
         // points that can change the classification, not consumed here.
-        const HeadStall stall = memoValid_ ? memoStall_ : headStall();
-        switch (stall) {
-          case HeadStall::kMshrFull:
+        const Action stall = memoValid_
+                                 ? memoStall_
+                                 : classify(queue_.front().req).action;
+        if (stall == Action::kMshrFull)
             stats_.stallMshrFull += n;
-            break;
-          case HeadStall::kDownstream:
+        else if (stall == Action::kDownstreamFull)
             stats_.stallDownstream += n;
-            break;
-          case HeadStall::kNone:
-            break;
-        }
     }
     now_ += n;
+}
+
+void
+Cache::checkIndex() const
+{
+    std::vector<bool> linked(mshrs_.size(), false);
+    unsigned onChains = 0;
+    for (unsigned set = 0; set < numSets_; ++set) {
+        for (std::int32_t i = mshrHead_[set]; i != kNoMshr;
+             i = mshrs_[static_cast<unsigned>(i)].next) {
+            dx_assert(i >= 0 && static_cast<unsigned>(i) < mshrs_.size(),
+                      cfg_.name, ": MSHR chain index ", i,
+                      " out of range");
+            const auto u = static_cast<unsigned>(i);
+            dx_assert(!linked[u], cfg_.name, ": MSHR ", i,
+                      " linked twice (shared or cyclic chain)");
+            linked[u] = true;
+            ++onChains;
+            const Addr line = mshrs_[u].line;
+            dx_assert(line != kNoLine, cfg_.name, ": free MSHR ", i,
+                      " on set ", set, "'s chain");
+            dx_assert(setIndex(line) == set, cfg_.name, ": MSHR ", i,
+                      " chained under set ", set, " but maps to set ",
+                      setIndex(line));
+            dx_assert(findMshr(line) == i, cfg_.name, ": line ", line,
+                      " has two MSHRs");
+        }
+    }
+    for (unsigned i = 0; i < mshrs_.size(); ++i) {
+        const bool free = (freeMshrs_[i / 64] >> (i % 64)) & 1;
+        const bool live = mshrs_[i].line != kNoLine;
+        dx_assert(free != live, cfg_.name, ": free mask disagrees with ",
+                  "MSHR ", i);
+        dx_assert(!live || linked[i], cfg_.name, ": live MSHR ", i,
+                  " is on no chain");
+    }
+    if (const unsigned tail = cfg_.mshrs % 64) {
+        dx_assert((freeMshrs_.back() >> tail) == 0, cfg_.name,
+                  ": free mask has bits past the last MSHR");
+    }
+    dx_assert(onChains == mshrsInUse_, cfg_.name, ": ", onChains,
+              " chained MSHRs but mshrsInUse_=", mshrsInUse_);
 }
 
 void

@@ -199,15 +199,21 @@ class Cache final : public Component,
     /** Render in-flight state (queues, MSHRs) for debugging. */
     std::string debugDump() const;
 
+    /**
+     * Audit the MSHR index against mshrs_: every live MSHR sits on
+     * exactly its set's chain, chains hold only live MSHRs of their
+     * set with distinct lines, the free mask is the complement of the
+     * live set, and mshrsInUse_ counts it. dx_asserts on a mismatch.
+     * For tests; nothing on the simulation path calls it.
+     */
+    void checkIndex() const;
+
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
-        std::uint64_t lastUse = 0;
-    };
+    //! Tag of an invalid way / line of a free MSHR. A line address
+    //! never has its low kLineShift bits set, so no real line matches.
+    static constexpr Addr kNoLine = ~Addr{0};
+    //! End of an MSHR chain.
+    static constexpr std::int32_t kNoMshr = -1;
 
     struct Target
     {
@@ -218,8 +224,8 @@ class Cache final : public Component,
 
     struct Mshr
     {
-        bool valid = false;
-        Addr line = 0;
+        Addr line = kNoLine;          //!< kNoLine: free
+        std::int32_t next = kNoMshr;  //!< next MSHR of the same set
         bool dirtyOnFill = false;
         bool prefetch = false;
         std::vector<Target> targets;
@@ -232,29 +238,45 @@ class Cache final : public Component,
     };
 
     unsigned setIndex(Addr line) const;
-    Way *lookup(Addr line);
-    int mshrFor(Addr line) const;
-    int freeMshr() const;
+    /** Flat index (set * assoc + way) of @p line's way, or -1. */
+    int findWay(Addr line) const;
+    /** The MSHR tracking @p line (a walk of its set's chain), or -1. */
+    int findMshr(Addr line) const;
+    /** Lowest free MSHR index, or -1 when every MSHR is live. */
+    int lowestFreeMshr() const;
+    /** Claim free MSHR @p idx for @p line and link it into its set. */
+    Mshr &allocMshr(int idx, Addr line, bool dirtyOnFill, bool prefetch);
+    /** Unlink live MSHR @p idx from its set's chain and free it. */
+    void releaseMshr(unsigned idx);
 
     /** Install a line, evicting the victim; may queue a writeback. */
     void installLine(Addr line, bool dirty, bool prefetched);
 
+    /**
+     * What processing @p req this cycle would do. The single source of
+     * the lookup/miss/stall decision: processRequest() acts on it, and
+     * quiescentSlow()/skipCyclesSlow() read the two stall kinds, so
+     * skipped stall counters match the naive loop's bit-for-bit.
+     */
+    enum class Action : std::uint8_t
+    {
+        kHit,            //!< index: flat way
+        kFullLineWrite,  //!< allocate in place without fetching
+        kCoalesce,       //!< index: the live MSHR for the line
+        kDrop,           //!< local prefetch racing a live fill
+        kAllocate,       //!< index: the lowest free MSHR
+        kMshrFull,       //!< no free MSHR, or no room in the line's
+        kDownstreamFull, //!< the miss cannot be sent downstream
+    };
+    struct Decision
+    {
+        Action action;
+        int index = -1;
+    };
+    Decision classify(const CacheReq &req) const;
+
     /** Process one queued request; false => stall, leave at head. */
     bool processRequest(const CacheReq &req);
-
-    /**
-     * Why processRequest(queue_.front()) would stall this cycle
-     * (kNone = it would make progress). Mirrors processRequest's stall
-     * paths exactly; shared by quiescent() and skipCycles() so skipped
-     * stall counters match the naive loop's bit-for-bit.
-     */
-    enum class HeadStall : std::uint8_t
-    {
-        kNone,
-        kMshrFull,
-        kDownstream,
-    };
-    HeadStall headStall() const;
 
     // Out-of-line halves of the quiescence API: everything past the
     // header-inlined memo checks.
@@ -263,14 +285,14 @@ class Cache final : public Component,
     void skipCyclesSlow(Cycle n);
 
     /**
-     * One-decision memo: quiescent() stores the headStall() it computed
-     * so the skipCycles() that follows reuses it instead of re-scanning
-     * the MSHRs. Every slow quiescent() probe refreshes it and the entry
+     * One-decision memo: quiescent() stores the head's classify()
+     * action so the skipCycles() that follows reuses it instead of
+     * re-classifying. Every slow quiescent() probe refreshes it and the entry
      * points that clear qMemo_ clear it too, so it is only carried
      * across skipped cycles by the kMshrFull verdict, which depends on
      * this cache's own state alone.
      */
-    mutable HeadStall memoStall_ = HeadStall::kNone;
+    mutable Action memoStall_ = Action::kHit;
     mutable bool memoValid_ = false;
 
     /**
@@ -307,8 +329,19 @@ class Cache final : public Component,
     std::vector<Cache *> children_;
 
     unsigned numSets_;
-    std::vector<std::vector<Way>> sets_;
+    // Tag store as flat structure-of-arrays: way w of set s lives at
+    // s * assoc + w, so a set's tag search reads one contiguous run.
+    std::vector<Addr> tags_;              //!< kNoLine: invalid way
+    std::vector<std::uint64_t> lastUse_;  //!< LRU stamp
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint8_t> prefetched_;
+
     std::vector<Mshr> mshrs_;
+    //! Per set: first MSHR of the chain of live MSHRs whose line maps
+    //! to that set (linked through Mshr::next), or kNoMshr.
+    std::vector<std::int32_t> mshrHead_;
+    //! Bit i set: mshrs_[i] is free.
+    std::vector<std::uint64_t> freeMshrs_;
     unsigned mshrsInUse_ = 0; //!< live entries in mshrs_ (O(1) busy())
     std::deque<Pending> queue_;
     std::deque<Addr> writebacks_; //!< dirty victim lines awaiting drain

@@ -41,7 +41,15 @@ MemoryController::enqueue(const MemRequest &req)
     Entry e;
     e.req = req;
     e.req.enqueued = now_;
+    e.bank = flatBankFor(req.coord);
     (req.write ? writeQueue_ : readQueue_).push_back(e);
+    Bank &bank = banks_[e.bank];
+    const unsigned q = req.write ? kWrites : kReads;
+    ++bank.queued[q];
+    const bool hit =
+        bank.openRow == static_cast<std::int64_t>(req.coord.row);
+    if (hit)
+        ++bank.hits[q];
 
     // An enqueue only *adds* command candidates, so the cached hint
     // remains a conservative-early bound for everything already
@@ -49,9 +57,8 @@ MemoryController::enqueue(const MemRequest &req)
     // both queues. Row-hit pinning is ignored here — it can only delay
     // the entry, and the hint may run early, never late.
     if (eventHintValid_) {
-        const Bank &bank = banks_[flatBankFor(req.coord)];
         Cycle ev;
-        if (bank.openRow == static_cast<std::int64_t>(req.coord.row))
+        if (hit)
             ev = req.write ? bank.nextWr : bank.nextRd;
         else if (bank.openRow < 0)
             ev = std::max(bank.nextAct, fawReadyAt());
@@ -67,12 +74,6 @@ bool
 MemoryController::idle() const
 {
     return readQueue_.empty() && writeQueue_.empty() && pending_.empty();
-}
-
-MemoryController::Bank &
-MemoryController::bankFor(const DramCoord &c)
-{
-    return banks_[c.bankInChannel(cfg_.geom)];
 }
 
 unsigned
@@ -176,11 +177,11 @@ MemoryController::tryRefresh()
     // Close all open rows, one PRE per cycle, then issue REF once every
     // bank is precharged and its tRP has elapsed.
     bool allClosed = true;
-    for (auto &bank : banks_) {
-        if (bank.openRow >= 0) {
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        if (banks_[b].openRow >= 0) {
             allClosed = false;
-            if (bank.nextPre <= now_) {
-                issuePre(bank);
+            if (banks_[b].nextPre <= now_) {
+                issuePre(b);
                 return true;
             }
         }
@@ -214,15 +215,16 @@ MemoryController::tryIssueFrom(std::vector<Entry> &queue, bool writes)
     }
     if (tryActivate(queue))
         return true;
-    return tryPrecharge(queue);
+    return tryPrecharge(queue, writes);
 }
 
 bool
 MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
 {
+    const unsigned q = writes ? kWrites : kReads;
     for (std::size_t i = 0; i < queue.size(); ++i) {
         Entry &e = queue[i];
-        Bank &bank = bankFor(e.req.coord);
+        Bank &bank = banks_[e.bank];
         if (bank.openRow != static_cast<std::int64_t>(e.req.coord.row))
             continue;
         const Cycle ready = writes ? bank.nextWr : bank.nextRd;
@@ -239,6 +241,8 @@ MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
         else
             ++stats_.rowHits;
 
+        --bank.queued[q];
+        --bank.hits[q];
         queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
         ++dequeues_; // a waiter upstream may be watching for space
         if (dequeueMirror_)
@@ -251,13 +255,13 @@ MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
 bool
 MemoryController::tryActivate(std::vector<Entry> &queue)
 {
+    if (!actAllowedByFaw())
+        return false;
     for (auto &e : queue) {
-        Bank &bank = bankFor(e.req.coord);
-        if (bank.openRow >= 0)
+        const Bank &bank = banks_[e.bank];
+        if (bank.openRow >= 0 || bank.nextAct > now_)
             continue;
-        if (bank.nextAct > now_ || !actAllowedByFaw())
-            continue;
-        issueAct(bank, e.req.coord.row, e.req.coord.bankGroup);
+        issueAct(e.bank, e.req.coord.row, e.req.coord.bankGroup);
         e.neededAct = true;
         // Sibling requests to the same (bank, row) become row hits and
         // need no flag; requests to other rows of this bank will conflict.
@@ -267,39 +271,20 @@ MemoryController::tryActivate(std::vector<Entry> &queue)
 }
 
 bool
-MemoryController::tryPrecharge(std::vector<Entry> &queue)
+MemoryController::tryPrecharge(std::vector<Entry> &queue, bool writes)
 {
-    for (auto &e : queue) {
-        Bank &bank = bankFor(e.req.coord);
-        if (bank.openRow < 0 ||
-            bank.openRow == static_cast<std::int64_t>(e.req.coord.row)) {
-            continue;
-        }
-        if (bank.nextPre > now_)
-            continue;
+    const unsigned q = writes ? kWrites : kReads;
+    for (const auto &e : queue) {
+        const Bank &bank = banks_[e.bank];
         // FR-FCFS: do not close a row that still has pending hits in
-        // the queue currently being served. (Only that queue: letting
-        // the idle queue's hits pin rows open deadlocks the drain.)
-        if (rowHitPendingFor(queue, bank, flatBankFor(e.req.coord)))
+        // the queue currently being served (a hit entry is itself never
+        // a conflict). Only that queue: letting the idle queue's hits
+        // pin rows open deadlocks the drain.
+        if (bank.openRow < 0 || bank.hits[q] != 0 || bank.nextPre > now_)
             continue;
-        issuePre(bank);
+        issuePre(e.bank);
         ++stats_.rowConflicts;
         return true;
-    }
-    return false;
-}
-
-bool
-MemoryController::rowHitPendingFor(const std::vector<Entry> &queue,
-                                   const Bank &bank,
-                                   unsigned flatBank) const
-{
-    for (const auto &e : queue) {
-        if (flatBankFor(e.req.coord) == flatBank &&
-            static_cast<std::int64_t>(e.req.coord.row) ==
-                bank.openRow) {
-            return true;
-        }
     }
     return false;
 }
@@ -312,11 +297,22 @@ MemoryController::actAllowedByFaw() const
 }
 
 void
-MemoryController::issueAct(Bank &bank, std::uint32_t row,
+MemoryController::issueAct(unsigned flatBank, std::uint32_t row,
                            std::uint16_t bankGroup)
 {
     const auto &t = cfg_.timings;
+    Bank &bank = banks_[flatBank];
     bank.openRow = row;
+    // The bank was closed, so it had no hits; count the queued entries
+    // the new row turns into hits.
+    const auto countHits = [&](const std::vector<Entry> &queue) {
+        unsigned n = 0;
+        for (const auto &e : queue)
+            n += e.bank == flatBank && e.req.coord.row == row;
+        return n;
+    };
+    bank.hits[kReads] = countHits(readQueue_);
+    bank.hits[kWrites] = countHits(writeQueue_);
     bank.nextRd = std::max(bank.nextRd, now_ + t.tRCD);
     bank.nextWr = std::max(bank.nextWr, now_ + t.tRCD);
     bank.nextPre = std::max(bank.nextPre, now_ + t.tRAS);
@@ -337,9 +333,12 @@ MemoryController::issueAct(Bank &bank, std::uint32_t row,
 }
 
 void
-MemoryController::issuePre(Bank &bank)
+MemoryController::issuePre(unsigned flatBank)
 {
+    Bank &bank = banks_[flatBank];
     bank.openRow = -1;
+    bank.hits[kReads] = 0;
+    bank.hits[kWrites] = 0;
     bank.nextAct = std::max(bank.nextAct, now_ + cfg_.timings.tRP);
     ++stats_.preCommands;
 }
@@ -348,7 +347,7 @@ void
 MemoryController::issueRead(Entry &e)
 {
     const auto &t = cfg_.timings;
-    Bank &bank = bankFor(e.req.coord);
+    Bank &bank = banks_[e.bank];
     bank.nextPre = std::max(bank.nextPre, now_ + t.tRTP);
 
     const unsigned perGroup = cfg_.geom.banksPerGroup;
@@ -371,7 +370,7 @@ void
 MemoryController::issueWrite(Entry &e)
 {
     const auto &t = cfg_.timings;
-    Bank &bank = bankFor(e.req.coord);
+    Bank &bank = banks_[e.bank];
     bank.nextPre = std::max(bank.nextPre, now_ + t.tCWL + t.tBL + t.tWR);
 
     const unsigned perGroup = cfg_.geom.banksPerGroup;
@@ -405,38 +404,23 @@ MemoryController::fawReadyAt() const
 Cycle
 MemoryController::earliestCommandAt() const
 {
-    const std::vector<Entry> &q = writeMode_ ? writeQueue_ : readQueue_;
+    // For each bank the served queue uses, the timer of the command
+    // its entries wait for: a column command when the open row has
+    // hits, an ACT when the bank is closed, else a PRE. A bank whose
+    // open row has hits is pinned (mirrors tryPrecharge), so its
+    // conflicts add no PRE candidate.
+    const unsigned q = writeMode_ ? kWrites : kReads;
+    const Cycle faw = fawReadyAt();
     Cycle ev = kNeverCycle;
-
-    // Banks whose open row has a pending hit in the served queue must
-    // not be precharged from under it (mirrors tryPrecharge); the hit
-    // entry itself contributes the candidate for that bank.
-    std::uint64_t hitMask = 0;
-    const bool maskOk = banks_.size() <= 64;
-    for (const auto &e : q) {
-        const unsigned flat = flatBankFor(e.req.coord);
-        if (maskOk &&
-            banks_[flat].openRow ==
-                static_cast<std::int64_t>(e.req.coord.row)) {
-            hitMask |= std::uint64_t{1} << flat;
-        }
-    }
-
-    for (const auto &e : q) {
-        const unsigned flat = flatBankFor(e.req.coord);
-        const Bank &bank = banks_[flat];
-        if (bank.openRow ==
-            static_cast<std::int64_t>(e.req.coord.row)) {
+    for (const Bank &bank : banks_) {
+        if (bank.queued[q] == 0)
+            continue;
+        if (bank.openRow < 0)
+            ev = std::min(ev, std::max(bank.nextAct, faw));
+        else if (bank.hits[q] != 0)
             ev = std::min(ev, writeMode_ ? bank.nextWr : bank.nextRd);
-        } else if (bank.openRow < 0) {
-            ev = std::min(ev, std::max(bank.nextAct, fawReadyAt()));
-        } else {
-            const bool pinned =
-                maskOk ? ((hitMask >> flat) & 1) != 0
-                       : rowHitPendingFor(q, bank, flat);
-            if (!pinned)
-                ev = std::min(ev, bank.nextPre);
-        }
+        else
+            ev = std::min(ev, bank.nextPre);
     }
     return ev;
 }
@@ -459,6 +443,39 @@ MemoryController::refreshEventHint() const
 {
     eventHint_ = computeEventHint();
     eventHintValid_ = true;
+}
+
+void
+MemoryController::checkSummaries() const
+{
+    std::vector<Bank> want(banks_.size());
+    const std::vector<Entry> *queues[2] = {&readQueue_, &writeQueue_};
+    for (unsigned q : {kReads, kWrites}) {
+        for (const auto &e : *queues[q]) {
+            dx_assert(e.bank == flatBankFor(e.req.coord), name(),
+                      ": entry cached bank ", e.bank, " but maps to ",
+                      flatBankFor(e.req.coord));
+            dx_assert(e.req.write == (q == kWrites), name(),
+                      ": entry in the wrong queue");
+            ++want[e.bank].queued[q];
+            if (banks_[e.bank].openRow ==
+                static_cast<std::int64_t>(e.req.coord.row)) {
+                ++want[e.bank].hits[q];
+            }
+        }
+    }
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        for (unsigned q : {kReads, kWrites}) {
+            dx_assert(banks_[b].queued[q] == want[b].queued[q], name(),
+                      ": bank ", b, " queue ", q, " queued ",
+                      banks_[b].queued[q], " but re-scan finds ",
+                      want[b].queued[q]);
+            dx_assert(banks_[b].hits[q] == want[b].hits[q], name(),
+                      ": bank ", b, " queue ", q, " hits ",
+                      banks_[b].hits[q], " but re-scan finds ",
+                      want[b].hits[q]);
+        }
+    }
 }
 
 void

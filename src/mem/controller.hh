@@ -169,7 +169,19 @@ class MemoryController final : public Component
     const Config &config() const { return cfg_; }
     unsigned channelId() const { return channel_; }
 
+    /**
+     * Audit the per-bank FR-FCFS summaries against a re-scan of both
+     * queues: every entry's cached bank, and each bank's queued and
+     * open-row-hit counts per queue. dx_asserts on a mismatch. For
+     * tests; nothing on the simulation path calls it.
+     */
+    void checkSummaries() const;
+
   private:
+    /** Summary index of a queue: reads and writes. */
+    static constexpr unsigned kReads = 0;
+    static constexpr unsigned kWrites = 1;
+
     struct Bank
     {
         std::int64_t openRow = -1;
@@ -177,11 +189,16 @@ class MemoryController final : public Component
         Cycle nextPre = 0;
         Cycle nextRd = 0;
         Cycle nextWr = 0;
+        // FR-FCFS summaries, per queue (kReads/kWrites): entries
+        // queued for this bank, and those of them hitting openRow.
+        unsigned queued[2] = {0, 0};
+        unsigned hits[2] = {0, 0};
     };
 
     struct Entry
     {
         MemRequest req;
+        unsigned bank = 0;      //!< flat bank in channel, set at enqueue
         bool neededAct = false; //!< an ACT was issued on its behalf
     };
 
@@ -196,7 +213,7 @@ class MemoryController final : public Component
     bool tryIssueFrom(std::vector<Entry> &queue, bool writes);
     bool tryColumn(std::vector<Entry> &queue, bool writes);
     bool tryActivate(std::vector<Entry> &queue);
-    bool tryPrecharge(std::vector<Entry> &queue);
+    bool tryPrecharge(std::vector<Entry> &queue, bool writes);
 
     /**
      * The write-drain hysteresis condition, shared by tick() and the
@@ -208,7 +225,7 @@ class MemoryController final : public Component
     /** Earliest cycle the tFAW window admits another ACT. */
     Cycle fawReadyAt() const;
 
-    /** Earliest bank-timer expiry over the queue being served. */
+    /** Earliest bank-timer expiry over banks the served queue uses. */
     Cycle earliestCommandAt() const;
 
     /** Uncached hint scan; 0 encodes "could act immediately". */
@@ -219,14 +236,12 @@ class MemoryController final : public Component
 
     void issueRead(Entry &e);
     void issueWrite(Entry &e);
-    void issueAct(Bank &bank, std::uint32_t row, std::uint16_t bankGroup);
-    void issuePre(Bank &bank);
+    void issueAct(unsigned flatBank, std::uint32_t row,
+                  std::uint16_t bankGroup);
+    void issuePre(unsigned flatBank);
 
     bool actAllowedByFaw() const;
-    bool rowHitPendingFor(const std::vector<Entry> &queue,
-                          const Bank &bank, unsigned flatBank) const;
 
-    Bank &bankFor(const DramCoord &c);
     unsigned flatBankFor(const DramCoord &c) const;
 
     /** Deliver due responses; true when at least one was delivered. */

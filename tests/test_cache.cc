@@ -300,6 +300,130 @@ TEST(Cache, InclusiveRootBackInvalidatesChildren)
     EXPECT_GT(llc.stats().backInvalidates.value(), 0u);
 }
 
+namespace
+{
+
+/** Downstream that records misses; the test fills them in any order. */
+struct ManualPort : public CachePort
+{
+    std::vector<CacheReq> sent;
+
+    bool canAccept() const override { return true; }
+    void request(const CacheReq &req) override { sent.push_back(req); }
+};
+
+} // namespace
+
+TEST(Cache, LlcMshrChainsFillOutOfOrderAndReuseLowestIndex)
+{
+    // The default LLC geometry: 8192 sets x 20 ways, 256 MSHRs.
+    Cache::Config cfg;
+    cfg.name = "LLC";
+    cfg.sizeBytes = 10 * 1024 * 1024;
+    cfg.assoc = 20;
+    cfg.latency = 1;
+    cfg.mshrs = 256;
+    cfg.queueSize = 96;
+    ManualPort port;
+    Cache llc(cfg, &port);
+    TestSink sink;
+
+    const Addr setStride = Addr{8192} * kLineBytes; // same set
+    auto line = [&](unsigned i) { return Addr{i} * setStride; };
+    auto access = [&](Addr addr, std::uint64_t tag) {
+        CacheReq req;
+        req.addr = addr;
+        req.tag = tag;
+        req.sink = &sink;
+        llc.request(req);
+    };
+    auto settle = [&] {
+        for (int i = 0; i < 8; ++i) {
+            llc.tick();
+            llc.checkIndex();
+        }
+    };
+
+    // Five misses to set 0 plus one to set 1: MSHRs 0..5 in issue
+    // order, and each fill tag is its MSHR index.
+    for (unsigned i = 0; i < 5; ++i)
+        access(line(i), i);
+    access(kLineBytes, 5);
+    settle();
+    ASSERT_EQ(port.sent.size(), 6u);
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_EQ(port.sent[i].tag, i);
+    for (unsigned i = 0; i < 5; ++i) {
+        EXPECT_TRUE(llc.containsLine(line(i)));
+        EXPECT_FALSE(llc.tagsHold(line(i)));
+    }
+
+    // Coalesce into the middle of set 0's chain: no new miss.
+    access(line(2) + 8, 20);
+    settle();
+    EXPECT_EQ(port.sent.size(), 6u);
+    EXPECT_EQ(llc.stats().mshrCoalesced.value(), 1u);
+
+    // Fill middle, oldest, then newest: not FIFO, not LIFO.
+    for (const std::uint64_t tag : {2u, 0u, 4u}) {
+        llc.complete(tag);
+        llc.checkIndex();
+        for (unsigned i = 0; i < 5; ++i)
+            EXPECT_TRUE(llc.containsLine(line(i))) << "line " << i;
+        EXPECT_TRUE(llc.tagsHold(line(static_cast<unsigned>(tag))));
+    }
+    EXPECT_TRUE(sink.has(2));
+    EXPECT_TRUE(sink.has(20));
+    EXPECT_FALSE(sink.has(1));
+    EXPECT_FALSE(llc.tagsHold(line(1)));
+
+    // New misses reuse the lowest free index first: 0, 2, 4, then 6.
+    for (unsigned i = 0; i < 4; ++i)
+        access(line(10 + i), 30 + i);
+    settle();
+    ASSERT_EQ(port.sent.size(), 10u);
+    EXPECT_EQ(port.sent[6].tag, 0u);
+    EXPECT_EQ(port.sent[7].tag, 2u);
+    EXPECT_EQ(port.sent[8].tag, 4u);
+    EXPECT_EQ(port.sent[9].tag, 6u);
+    EXPECT_FALSE(llc.containsLine(line(14)));
+
+    // Drain everything still in flight, newest first.
+    for (const std::uint64_t tag : {6u, 5u, 4u, 3u, 2u, 1u, 0u}) {
+        llc.complete(tag);
+        llc.checkIndex();
+    }
+    for (unsigned i : {0u, 1u, 2u, 3u, 4u, 10u, 11u, 12u, 13u})
+        EXPECT_TRUE(llc.tagsHold(line(i))) << "line " << i;
+    EXPECT_TRUE(llc.tagsHold(kLineBytes));
+    EXPECT_FALSE(llc.busy());
+    EXPECT_EQ(llc.stats().evictions.value(), 0u);
+}
+
+TEST(Cache, InvalidatedHoleIsTheVictimBeforeLru)
+{
+    Cache::Config cfg = Rig::defaultCfg();
+    cfg.sizeBytes = 4 * kLineBytes; // 1 set x 4 ways
+    cfg.assoc = 4;
+    ManualPort port;
+    Cache cache(cfg, &port);
+
+    for (unsigned i = 0; i < 4; ++i)
+        cache.warmInsert(Addr{i} * kLineBytes); // line 0 is LRU
+    EXPECT_FALSE(cache.invalidateLine(2 * kLineBytes));
+
+    cache.warmInsert(4 * kLineBytes); // fills the hole
+    EXPECT_EQ(cache.stats().evictions.value(), 0u);
+    EXPECT_TRUE(cache.tagsHold(0));
+    EXPECT_FALSE(cache.tagsHold(2 * kLineBytes));
+    EXPECT_TRUE(cache.tagsHold(4 * kLineBytes));
+
+    cache.warmInsert(5 * kLineBytes); // set full again: LRU goes
+    EXPECT_EQ(cache.stats().evictions.value(), 1u);
+    EXPECT_FALSE(cache.tagsHold(0));
+    EXPECT_TRUE(cache.tagsHold(kLineBytes));
+}
+
 TEST(StridePrefetcher, DetectsStreamAndQueuesAhead)
 {
     StridePrefetcher pf;

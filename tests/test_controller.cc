@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -337,4 +338,113 @@ TEST(Controller, QuiescentRightAfterProductiveTick)
     // Ticking on still serves the read.
     runUntilIdle(dram);
     ASSERT_EQ(sink.done.size(), 1u);
+}
+
+namespace
+{
+
+/** Completions of a directly driven controller, in order. */
+struct OrderSink : public MemRespSink
+{
+    std::vector<std::uint64_t> tags;
+    std::vector<bool> neededAct;
+
+    void
+    complete(const MemRequest &req) override
+    {
+        tags.push_back(req.tag);
+        neededAct.push_back(req.neededAct);
+    }
+};
+
+/**
+ * Tick @p ctrl once, audit its FR-FCFS summaries, and name the command
+ * it issued ("" for none). "PRE!" is a conflict precharge; a plain
+ * "PRE" closes a row for refresh.
+ */
+std::string
+stepCommand(MemoryController &ctrl)
+{
+    const MemoryController::Stats before = ctrl.stats();
+    ctrl.tick();
+    ctrl.checkSummaries();
+    const MemoryController::Stats &s = ctrl.stats();
+    if (s.actCommands.value() != before.actCommands.value())
+        return "ACT";
+    if (s.rowConflicts.value() != before.rowConflicts.value())
+        return "PRE!";
+    if (s.preCommands.value() != before.preCommands.value())
+        return "PRE";
+    if (s.refCommands.value() != before.refCommands.value())
+        return "REF";
+    if (s.readsServed.value() != before.readsServed.value())
+        return "RD";
+    if (s.writesServed.value() != before.writesServed.value())
+        return "WR";
+    return "";
+}
+
+} // namespace
+
+TEST(Controller, RowPinningAcrossWriteModeAndRefresh)
+{
+    MemoryController::Config cfg; // refresh on, tREFI = 12480
+    MemoryController ctrl(cfg, 0);
+    OrderSink sink;
+    std::vector<std::string> log;
+
+    auto enqueue = [&](std::uint64_t tag, bool write, std::uint32_t row,
+                       std::uint16_t column) {
+        MemRequest req;
+        req.write = write;
+        req.tag = tag;
+        req.sink = &sink;
+        req.coord.row = row; // channel 0, bank group 0, bank 0
+        req.coord.column = column;
+        ctrl.enqueue(req);
+        ctrl.checkSummaries();
+    };
+    auto runTo = [&](Cycle until) {
+        while (ctrl.now() < until) {
+            if (std::string cmd = stepCommand(ctrl); !cmd.empty())
+                log.push_back(cmd);
+        }
+    };
+
+    // Phase 1: one ACT opens row 10 with hits queued in both queues.
+    // Reads drain first, then the empty read queue switches to write
+    // mode, where the two row-10 writes pin the row against the older
+    // row-20 conflict until both have issued.
+    enqueue(0, false, 10, 0);
+    enqueue(1, false, 10, 1);
+    enqueue(2, true, 10, 2);
+    enqueue(3, true, 20, 3);
+    enqueue(4, true, 10, 4);
+    runTo(1000);
+    EXPECT_EQ(log, (std::vector<std::string>{"ACT", "RD", "RD", "WR",
+                                             "WR", "PRE!", "ACT", "WR"}));
+    EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{0, 1, 2, 4, 3}));
+    EXPECT_EQ(ctrl.stats().rowHits.value(), 3u);
+    EXPECT_EQ(ctrl.stats().rowMisses.value(), 2u);
+    ASSERT_TRUE(ctrl.idle());
+
+    // Phase 2: just before the refresh deadline, row 30 is opened for
+    // two queued hits. Refresh closes it anyway (un-pinning it), and
+    // the hits re-open it afterwards, ahead of the row-40 conflict.
+    log.clear();
+    sink.tags.clear();
+    sink.neededAct.clear();
+    runTo(cfg.timings.tREFI - 40);
+    enqueue(10, false, 30, 0);
+    enqueue(11, false, 40, 1);
+    enqueue(12, false, 30, 2);
+    runTo(cfg.timings.tREFI + 2000);
+    EXPECT_EQ(log, (std::vector<std::string>{"PRE!", "ACT", "PRE", "REF",
+                                             "ACT", "RD", "RD", "PRE!",
+                                             "ACT", "RD"}));
+    EXPECT_EQ(sink.tags, (std::vector<std::uint64_t>{10, 12, 11}));
+    // Tag 10 needed both ACTs of row 30; tag 12 rode the second one.
+    EXPECT_EQ(sink.neededAct, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(ctrl.stats().refCommands.value(), 1u);
+    EXPECT_TRUE(ctrl.idle());
 }

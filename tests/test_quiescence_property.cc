@@ -13,7 +13,9 @@
  * System::run uses them — and compares full RunStats at every point
  * where the clocks align, so a violation is pinpointed to the first
  * divergent cycle and field rather than surfacing as a mismatched
- * total at the end of a run.
+ * total at the end of a run. Every step also audits the caches' MSHR
+ * indexes and the DRAM controllers' FR-FCFS summaries against their
+ * source structures.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +117,19 @@ makeRig(unsigned seed, TickPolicy policy)
     return r;
 }
 
+/** Audit every cache's MSHR index and every channel's summaries. */
+void
+checkIndexes(System &sys)
+{
+    for (unsigned c = 0; c < sys.cores(); ++c) {
+        sys.l1(c).checkIndex();
+        sys.l2(c).checkIndex();
+    }
+    sys.llc().checkIndex();
+    for (unsigned ch = 0; ch < sys.dram().channels(); ++ch)
+        sys.dram().channel(ch).checkSummaries();
+}
+
 std::string
 diffStats(const RunStats &naive, const RunStats &sched)
 {
@@ -150,8 +165,11 @@ runLockstep(unsigned seed)
         const Cycle horizon = sched.sys->tickScheduled();
         if (horizon > sched.sys->now() + 1)
             sched.sys->skipTo(horizon - 1);
-        while (naive.sys->now() < sched.sys->now())
+        while (naive.sys->now() < sched.sys->now()) {
             naive.sys->tick();
+            checkIndexes(*naive.sys);
+        }
+        checkIndexes(*sched.sys);
         const RunStats a = naive.sys->collectStats();
         const RunStats b = sched.sys->collectStats();
         if (!(a == b)) {
