@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden-stats corpus: every paper workload, at reduced scale on the
- * DX100 system, is pinned to a checked-in JSON snapshot produced by
+ * baseline, DX100 and DMP systems, is pinned to a checked-in JSON
+ * snapshot (tests/golden/<workload>_<config>.json) produced by
  * the same statsToJson path the figure benches' --json flag uses. Any
  * behavioral change to the simulator — intended or not — shows up
  * here as a readable per-field diff instead of a silent drift in the
@@ -105,36 +106,50 @@ fieldDiff(const RunStats &golden, const RunStats &actual)
     return os.str();
 }
 
-class GoldenStatsTest
-    : public ::testing::TestWithParam<const WorkloadEntry *>
+/** One pinned cell: a paper workload on one of the three systems. */
+struct GoldenCell
+{
+    const WorkloadEntry *entry;
+    const char *tag;
+    SystemConfig (*config)();
+};
+
+class GoldenStatsTest : public ::testing::TestWithParam<GoldenCell>
 {
 };
 
-std::vector<const WorkloadEntry *>
-allEntries()
+std::vector<GoldenCell>
+allCells()
 {
-    std::vector<const WorkloadEntry *> out;
+    const std::pair<const char *, SystemConfig (*)()> configs[] = {
+        {"baseline", [] { return SystemConfig::baseline(); }},
+        {"dx100", [] { return SystemConfig::withDx100(); }},
+        {"dmp", [] { return SystemConfig::withDmp(); }},
+    };
+    std::vector<GoldenCell> out;
     for (const auto &e : paperWorkloads())
-        out.push_back(&e);
+        for (const auto &[tag, config] : configs)
+            out.push_back({&e, tag, config});
     return out;
 }
 
 std::string
-entryName(const ::testing::TestParamInfo<const WorkloadEntry *> &info)
+cellName(const ::testing::TestParamInfo<GoldenCell> &info)
 {
-    return info.param->name;
+    return info.param.entry->name + "_" + info.param.tag;
 }
 
 } // namespace
 
 TEST_P(GoldenStatsTest, MatchesCorpus)
 {
-    const WorkloadEntry &entry = *GetParam();
-    const fs::path file = goldenDir() / (entry.name + "_dx100.json");
+    const GoldenCell &cell = GetParam();
+    const WorkloadEntry &entry = *cell.entry;
+    const std::string name = entry.name + "_" + cell.tag;
+    const fs::path file = goldenDir() / (name + ".json");
 
     auto w = entry.make(Scale{kGoldenScale});
-    const RunStats actual =
-        runWorkloadOnce(*w, SystemConfig::withDx100());
+    const RunStats actual = runWorkloadOnce(*w, cell.config());
     const std::string actualJson = statsToJson(actual);
 
     if (regenerating()) {
@@ -157,12 +172,11 @@ TEST_P(GoldenStatsTest, MatchesCorpus)
         << "unparsable golden file " << file;
 
     EXPECT_TRUE(*golden == actual)
-        << entry.name << " diverged from the golden corpus:\n"
+        << name << " diverged from the golden corpus:\n"
         << fieldDiff(*golden, actual)
         << "If this change is intended, regenerate with "
            "tools/regen_golden.sh and commit the corpus diff.";
 }
 
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, GoldenStatsTest,
-                         ::testing::ValuesIn(allEntries()),
-                         entryName);
+INSTANTIATE_TEST_SUITE_P(AllCells, GoldenStatsTest,
+                         ::testing::ValuesIn(allCells()), cellName);

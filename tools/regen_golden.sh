@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the golden references under tests/golden/:
-#   - the golden-stats corpus (*_dx100.json, read by test_golden_stats);
+#   - the golden-stats corpus (<workload>_{baseline,dx100,dmp}.json,
+#     read by test_golden_stats);
 #   - fig09_stdout.txt and fig09_bench.json, which the CI
 #     release-bit-identity job byte-compares against a fresh fig09 run
 #     made with the same flags as below.
