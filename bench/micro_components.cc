@@ -1,21 +1,25 @@
 /**
  * @file
  * google-benchmark component microbenchmarks: raw throughput of the
- * substrates (address map, LLC miss path, DRAM controller, row table,
- * ISA codec, functional model). These measure the *simulator's* own speed and
+ * substrates (address map, core issue/commit, LLC miss path, DRAM
+ * controller, DMP pattern matcher, row table, ISA codec, functional
+ * model). These measure the *simulator's* own speed and
  * component behaviour, complementing the figure benches.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <deque>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
 #include "common/sim_memory.hh"
+#include "cpu/core.hh"
 #include "dx100/functional.hh"
 #include "dx100/row_table.hh"
 #include "mem/dram_system.hh"
+#include "prefetch/indirect_prefetcher.hh"
 #include "sim/system.hh"
 
 using namespace dx;
@@ -50,6 +54,84 @@ BM_IsaEncodeDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IsaEncodeDecode);
+
+namespace
+{
+
+/** L1 stand-in that accepts every request and answers it next cycle. */
+struct InstantL1 : public cache::CachePort
+{
+    std::vector<cache::CacheReq> pending;
+    std::vector<cache::CacheReq> answering;
+
+    bool canAccept() const override { return true; }
+
+    void
+    request(const cache::CacheReq &req) override
+    {
+        pending.push_back(req);
+    }
+
+    void
+    tick()
+    {
+        answering.swap(pending);
+        for (const cache::CacheReq &r : answering)
+            r.sink->complete(r.tag);
+        answering.clear();
+    }
+};
+
+/**
+ * Endless op stream in the shape of an indirect kernel's core work: an
+ * index load, a four-op ALU dependence chain on it, an independent
+ * load, and a store of the chain's result.
+ */
+class ChainKernel : public cpu::Kernel
+{
+  public:
+    bool more() const override { return true; }
+
+    void
+    emitChunk(cpu::OpEmitter &e) override
+    {
+        for (int i = 0; i < 8; ++i, ++n_) {
+            const SeqNum idx = e.load(0x100000 + n_ * 4, 4, 1, n_);
+            SeqNum v = e.intOp(1, idx);
+            v = e.intOp(1, v);
+            v = e.fpOp(4, v, idx);
+            v = e.intOp(1, v, v);
+            e.load(0x800000 + (n_ % 4096) * 64, 8, 2);
+            e.store(0x400000 + n_ * 8, 8, 3, v);
+        }
+    }
+
+  private:
+    Addr n_ = 0;
+};
+
+} // namespace
+
+static void
+BM_CoreIssueCommit(benchmark::State &state)
+{
+    // Dispatch, wake-up, issue and commit of the default core (8-wide,
+    // 224-entry ROB) with memory ops answered after one cycle, so the
+    // core's own bookkeeping is all that is timed.
+    InstantL1 l1;
+    cpu::Core core(cpu::Core::Config{}, 0, &l1);
+    ChainKernel kernel;
+    core.setKernel(&kernel);
+    for (auto _ : state) {
+        for (int t = 0; t < 4096; ++t) {
+            core.tick();
+            l1.tick();
+        }
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(core.stats().committedOps.value()));
+}
+BENCHMARK(BM_CoreIssueCommit);
 
 static void
 BM_RowTableInsertDrain(benchmark::State &state)
@@ -217,6 +299,38 @@ BM_ControllerFullBuffer(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_ControllerFullBuffer);
+
+static void
+BM_DmpMatchMiss(benchmark::State &state)
+{
+    // The DMP prefetcher's differential matcher on random demand
+    // misses: eight recent index values (two scales each) against a
+    // full 16-pattern table, so every miss ages or replaces patterns.
+    SimMemory mem;
+    prefetch::IndirectPrefetcher pf(prefetch::IndirectPrefetcher::Config{},
+                                    &mem);
+    Rng rng(17);
+    for (Addr i = 0; i < 64; ++i) {
+        cache::CacheReq load;
+        load.addr = 0x10000 + i * 4;
+        load.pc = 11;
+        load.value = rng.below(1 << 20);
+        pf.observe(load, true);
+    }
+    Addr line;
+    while (pf.nextPrefetch(line)) {
+    }
+    cache::CacheReq miss; // pc 0: trains the matcher only
+    for (auto _ : state) {
+        for (int t = 0; t < 4096; ++t) {
+            miss.addr = 0x4000000 + rng.below(Addr{1} << 24) * 4;
+            pf.observe(miss, true);
+        }
+    }
+    benchmark::DoNotOptimize(pf.stats().patternsLearned);
+    state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_DmpMatchMiss);
 
 static void
 BM_FunctionalGather(benchmark::State &state)

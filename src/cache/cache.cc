@@ -31,6 +31,7 @@ Cache::Cache(const Config &cfg, CachePort *downstream)
     freeMshrs_.assign((cfg_.mshrs + 63) / 64, ~std::uint64_t{0});
     if (const unsigned tail = cfg_.mshrs % 64)
         freeMshrs_.back() = (std::uint64_t{1} << tail) - 1;
+    queue_.reserve(cfg_.queueSize);
 }
 
 void
@@ -253,9 +254,8 @@ Cache::classify(const CacheReq &req) const
 }
 
 bool
-Cache::processRequest(const CacheReq &req)
+Cache::processRequest(const CacheReq &req, Decision d)
 {
-    const Decision d = classify(req);
     const bool demand = req.origin == mem::Origin::kCpuDemand;
     const bool dxTraffic = req.origin == mem::Origin::kDx100;
 
@@ -415,6 +415,10 @@ Cache::issuePrefetches()
 void
 Cache::tick()
 {
+    // The head's decision from the quiescent() probe still holds if it
+    // read only this cache's state (see memo_).
+    const bool reuse = memoValid_ && memo_.action != Action::kAllocate &&
+                       memo_.action != Action::kDownstreamFull;
     ++now_;
     memoValid_ = false;
     qMemo_ = QMemo::kNone;
@@ -424,7 +428,8 @@ Cache::tick()
         Pending &p = queue_.front();
         if (p.readyAt > now_)
             break;
-        if (!processRequest(p.req))
+        const Decision d = n == 0 && reuse ? memo_ : classify(p.req);
+        if (!processRequest(p.req, d))
             break; // structural stall: retry next cycle
         queue_.pop_front();
         ++popCount_; // a waiter upstream may be watching for space
@@ -448,7 +453,8 @@ Cache::debugDump() const
            << (m.prefetch ? " pf" : "")
            << (m.dirtyOnFill ? " dirty" : "") << "]";
     }
-    for (const auto &p : queue_) {
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const Pending &p = queue_[i];
         os << " {q addr=0x" << std::hex << p.req.addr << std::dec
            << " w=" << p.req.write << " org="
            << static_cast<int>(p.req.origin) << "}";
@@ -500,15 +506,15 @@ Cache::quiescentSlow() const
     // accumulates. Nothing the stall depends on (MSHRs, downstream
     // queue space) can change except through external stimulus, which
     // re-evaluates quiescence.
-    memoStall_ = classify(queue_.front().req).action;
+    memo_ = classify(queue_.front().req);
     memoValid_ = true;
-    if (memoStall_ == Action::kMshrFull) {
+    if (memo_.action == Action::kMshrFull) {
         // Unblocks only via a fill, which clears the memo.
         qMemo_ = QMemo::kTimed;
         sleepUntil_ = kNeverCycle;
         return true;
     }
-    if (memoStall_ == Action::kDownstreamFull) {
+    if (memo_.action == Action::kDownstreamFull) {
         const std::uint64_t pops = downstreamPopAddr_
                                        ? *downstreamPopAddr_
                                        : downstream_->popCount();
@@ -541,7 +547,7 @@ Cache::skipCyclesSlow(Cycle n)
         // The memo persists across skips: it is cleared by the entry
         // points that can change the classification, not consumed here.
         const Action stall = memoValid_
-                                 ? memoStall_
+                                 ? memo_.action
                                  : classify(queue_.front().req).action;
         if (stall == Action::kMshrFull)
             stats_.stallMshrFull += n;

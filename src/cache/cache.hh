@@ -13,13 +13,13 @@
 #define DX_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache_if.hh"
 #include "cache/prefetcher.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/component.hh"
@@ -257,6 +257,8 @@ class Cache final : public Component,
      * the lookup/miss/stall decision: processRequest() acts on it, and
      * quiescentSlow()/skipCyclesSlow() read the two stall kinds, so
      * skipped stall counters match the naive loop's bit-for-bit.
+     * kAllocate and kDownstreamFull also read the downstream port;
+     * every other action reads only this cache's own state.
      */
     enum class Action : std::uint8_t
     {
@@ -275,8 +277,11 @@ class Cache final : public Component,
     };
     Decision classify(const CacheReq &req) const;
 
-    /** Process one queued request; false => stall, leave at head. */
-    bool processRequest(const CacheReq &req);
+    /**
+     * Process one queued request as classify() decided @p d; false =>
+     * stall, leave at head.
+     */
+    bool processRequest(const CacheReq &req, Decision d);
 
     // Out-of-line halves of the quiescence API: everything past the
     // header-inlined memo checks.
@@ -286,13 +291,15 @@ class Cache final : public Component,
 
     /**
      * One-decision memo: quiescent() stores the head's classify()
-     * action so the skipCycles() that follows reuses it instead of
-     * re-classifying. Every slow quiescent() probe refreshes it and the entry
-     * points that clear qMemo_ clear it too, so it is only carried
-     * across skipped cycles by the kMshrFull verdict, which depends on
-     * this cache's own state alone.
+     * decision. The skipCycles() that follows reads its stall kind
+     * instead of re-classifying, and tick() processes the head with it
+     * unless it read the downstream port (kAllocate, kDownstreamFull),
+     * so a hit is classified once. Every slow quiescent() probe
+     * refreshes it, and the entry points that clear qMemo_ — every one
+     * that changes this cache's state or its queue head — clear it
+     * too, so a memo that survives holds for the head as it stands.
      */
-    mutable Action memoStall_ = Action::kHit;
+    mutable Decision memo_{Action::kHit};
     mutable bool memoValid_ = false;
 
     /**
@@ -343,8 +350,10 @@ class Cache final : public Component,
     //! Bit i set: mshrs_[i] is free.
     std::vector<std::uint64_t> freeMshrs_;
     unsigned mshrsInUse_ = 0; //!< live entries in mshrs_ (O(1) busy())
-    std::deque<Pending> queue_;
-    std::deque<Addr> writebacks_; //!< dirty victim lines awaiting drain
+    //! Input queue, reserved to queueSize so a reference to the head
+    //! survives the pushes its processing may trigger upstream.
+    Ring<Pending> queue_;
+    Ring<Addr> writebacks_; //!< dirty victim lines awaiting drain
     std::uint64_t popCount_ = 0;  //!< input-queue departures (popCount)
 
     Cycle now_ = 0;

@@ -1,17 +1,23 @@
 #include "cache/prefetcher.hh"
 
+#include <bit>
+
+#include "common/logging.hh"
+
 namespace dx::cache
 {
 
 StridePrefetcher::StridePrefetcher(const Config &cfg)
     : cfg_(cfg), table_(cfg.tableSize)
 {
+    dx_assert(std::has_single_bit(cfg.tableSize),
+              "stride prefetcher table size must be a power of two");
 }
 
 StridePrefetcher::Entry &
 StridePrefetcher::entryFor(std::uint16_t pc)
 {
-    return table_[pc % cfg_.tableSize];
+    return table_[pc & (cfg_.tableSize - 1)];
 }
 
 void

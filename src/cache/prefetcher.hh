@@ -8,10 +8,10 @@
 #define DX_CACHE_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/cache_if.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace dx::cache
@@ -49,7 +49,7 @@ class StridePrefetcher : public Prefetcher
   public:
     struct Config
     {
-        unsigned tableSize = 64;
+        unsigned tableSize = 64; //!< power of two: indexed by pc bits
         unsigned degree = 2;     //!< prefetches per trigger
         unsigned distance = 8;   //!< lines (or strides) ahead of demand
         int confidenceThreshold = 2;
@@ -78,7 +78,7 @@ class StridePrefetcher : public Prefetcher
 
     Config cfg_;
     std::vector<Entry> table_;
-    std::deque<Addr> queue_;
+    Ring<Addr> queue_;
 };
 
 } // namespace dx::cache

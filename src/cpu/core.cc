@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -32,7 +33,7 @@ isFencingKind(OpKind k)
 
 Core::Core(const Config &cfg, int id, cache::CachePort *l1)
     : Component("core" + std::to_string(id)), cfg_(cfg), id_(id),
-      rob_(cfg.robSize), wheel_(64)
+      rob_(std::bit_ceil(cfg.robSize)), robMask_(rob_.size() - 1)
 {
     dx_assert(l1, "core needs an L1 port");
     l1_.bind(*l1);
@@ -42,13 +43,13 @@ Core::Core(const Config &cfg, int id, cache::CachePort *l1)
 Core::RobEntry &
 Core::entry(SeqNum seq)
 {
-    return rob_[seq % cfg_.robSize];
+    return rob_[seq & robMask_];
 }
 
 const Core::RobEntry &
 Core::entry(SeqNum seq) const
 {
-    return rob_[seq % cfg_.robSize];
+    return rob_[seq & robMask_];
 }
 
 bool
@@ -113,8 +114,8 @@ Core::dispatch()
         e.op = op;
         e.state = EntryState::kWaiting;
         e.depsLeft = 0;
-        e.dependents.clear();
         e.headBlocked = isHeadBlockedKind(op.kind);
+        e.depHead = e.depTail = kNoEdge;
 
         if (op.kind == OpKind::kLoad)
             ++lqUsed_;
@@ -123,11 +124,22 @@ Core::dispatch()
         if (isFencingKind(op.kind))
             fencing_.push_back(seq);
 
-        for (SeqNum dep : op.deps) {
+        // Append one edge per outstanding dep to its producer's list,
+        // in deps order, so wake-up order matches dispatch order.
+        for (unsigned slot = 0; slot < kMaxDeps; ++slot) {
+            const SeqNum dep = op.deps[slot];
             if (dep == kNoSeq || depSatisfied(dep))
                 continue;
             ++e.depsLeft;
-            entry(dep).dependents.push_back(seq);
+            const Edge edge = seq << 2 | slot;
+            e.nextEdge[slot] = kNoEdge;
+            RobEntry &producer = entry(dep);
+            if (producer.depTail == kNoEdge)
+                producer.depHead = edge;
+            else
+                entry(producer.depTail >> 2).nextEdge[producer.depTail & 3] =
+                    edge;
+            producer.depTail = edge;
         }
         if (e.depsLeft == 0) {
             e.state = EntryState::kReady;
@@ -150,20 +162,23 @@ Core::fencePending(SeqNum seq) const
 void
 Core::wakeDependents(RobEntry &e)
 {
-    for (SeqNum d : e.dependents) {
-        if (!inRob(d))
-            continue;
+    // A consumer is younger than its producer and cannot leave the ROB
+    // before the producer completes, so every edge names a waiting
+    // in-ROB entry.
+    for (Edge edge = e.depHead; edge != kNoEdge;) {
+        const SeqNum d = edge >> 2;
+        dx_assert(inRob(d), "dependence edge to a seq outside the ROB");
         RobEntry &de = entry(d);
-        if (de.state != EntryState::kWaiting)
-            continue;
-        dx_assert(de.depsLeft > 0, "dependency underflow");
+        edge = de.nextEdge[edge & 3];
+        dx_assert(de.state == EntryState::kWaiting && de.depsLeft > 0,
+                  "dependency underflow");
         if (--de.depsLeft == 0) {
             de.state = EntryState::kReady;
             if (!de.headBlocked)
                 readyQueue_.push_back(d);
         }
     }
-    e.dependents.clear();
+    e.depHead = e.depTail = kNoEdge;
 }
 
 void
@@ -233,7 +248,7 @@ Core::issue()
             readyQueue_.pop_front();
             e.state = EntryState::kIssued;
             const unsigned lat = std::max<unsigned>(e.op.latency, 1);
-            wheel_[(wheelPos_ + lat) % wheel_.size()].push_back(seq);
+            wheel_[(wheelPos_ + lat) & (kWheelSlots - 1)].push_back(seq);
             ++wheelPending_;
             ++issued;
             break;
@@ -381,7 +396,7 @@ Core::tick()
     stats_.lqOccupancyAccum += lqUsed_;
 
     // Complete fixed-latency ops scheduled for this cycle.
-    wheelPos_ = (wheelPos_ + 1) % static_cast<unsigned>(wheel_.size());
+    wheelPos_ = (wheelPos_ + 1) & (kWheelSlots - 1);
     for (SeqNum seq : wheel_[wheelPos_]) {
         if (inRob(seq) && entry(seq).state == EntryState::kIssued)
             markComplete(seq);
@@ -509,12 +524,7 @@ Core::skipCycles(Cycle n)
     stats_.cycles += n;
     stats_.robOccupancyAccum += n * (robTail_ - robHead_);
     stats_.lqOccupancyAccum += n * lqUsed_;
-    if (n == 1) {
-        if (++wheelPos_ == wheel_.size())
-            wheelPos_ = 0;
-    } else {
-        wheelPos_ = static_cast<unsigned>((wheelPos_ + n) % wheel_.size());
-    }
+    wheelPos_ = static_cast<unsigned>((wheelPos_ + n) & (kWheelSlots - 1));
 
     // Exactly the per-cycle counters the naive loop would have bumped
     // while frozen in this state.
@@ -546,6 +556,43 @@ Core::done() const
     return (!kernel_ || !kernel_->more()) && opBuffer_.empty() &&
            robHead_ == robTail_ && storeBuffer_.empty() &&
            mmioBuffer_.empty() && inflightStoreWrites_ == 0;
+}
+
+void
+Core::checkRob() const
+{
+    std::vector<unsigned> reaching(rob_.size(), 0);
+    for (SeqNum p = robHead_; p < robTail_; ++p) {
+        const RobEntry &pe = entry(p);
+        Edge last = kNoEdge;
+        for (Edge edge = pe.depHead; edge != kNoEdge;) {
+            // Appended in dispatch and deps order: strictly increasing,
+            // which also rules out a cycle.
+            dx_assert(edge > last, "core", id_, ": list of ", p,
+                      " out of order at edge ", edge);
+            const SeqNum c = edge >> 2;
+            dx_assert(c > p && c < robTail_, "core", id_, ": edge of ", p,
+                      " names seq ", c, " outside the ROB");
+            const unsigned slot = static_cast<unsigned>(edge & 3);
+            dx_assert(slot < kMaxDeps && entry(c).op.deps[slot] == p,
+                      "core", id_, ": edge ", c, "/", slot,
+                      " does not name producer ", p);
+            ++reaching[c & robMask_];
+            last = edge;
+            edge = entry(c).nextEdge[slot];
+        }
+        dx_assert(pe.depTail == last, "core", id_, ": list tail of ", p,
+                  " is not its last edge");
+    }
+    for (SeqNum s = robHead_; s < robTail_; ++s) {
+        const RobEntry &e = entry(s);
+        const bool waiting = e.state == EntryState::kWaiting;
+        dx_assert(waiting == (e.depsLeft > 0), "core", id_, ": seq ", s,
+                  " waiting with depsLeft=", e.depsLeft);
+        dx_assert(reaching[s & robMask_] == e.depsLeft, "core", id_,
+                  ": seq ", s, " has depsLeft=", e.depsLeft, " but ",
+                  reaching[s & robMask_], " edges reach it");
+    }
 }
 
 void

@@ -15,11 +15,14 @@
 #ifndef DX_CPU_CORE_HH
 #define DX_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_if.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/microop.hh"
@@ -142,6 +145,15 @@ class Core final : public Component,
     const Stats &stats() const { return stats_; }
     int id() const { return id_; }
 
+    /**
+     * Audit the dependence lists against the ROB: every edge names an
+     * in-ROB consumer, each list's tail is its last edge, and each
+     * waiting entry's depsLeft equals the number of edges that reach
+     * it (non-waiting entries have none). dx_asserts on a mismatch.
+     * For tests; nothing on the simulation path calls it.
+     */
+    void checkRob() const;
+
   private:
     enum class EntryState : std::uint8_t
     {
@@ -151,13 +163,28 @@ class Core final : public Component,
         kComplete,  //!< result available
     };
 
+    /**
+     * A dependence edge: consumerSeq << 2 | depSlot, the slot of
+     * MicroOp::deps naming the producer. Each producer keeps a FIFO of
+     * the edges waiting on it, linked through the consumers' nextEdge
+     * (no allocation per edge); an op naming one producer twice has
+     * two edges on its list.
+     */
+    using Edge = std::uint64_t;
+    static constexpr Edge kNoEdge = 0; //!< seq 0 is never allocated
+    static_assert(kMaxDeps <= 4, "depSlot is two bits of an Edge");
+
     struct RobEntry
     {
         MicroOp op;
         EntryState state = EntryState::kWaiting;
         unsigned depsLeft = 0;
-        std::vector<SeqNum> dependents;
         bool headBlocked = false; //!< kRmw/kDxWait: wait for ROB head
+        Edge depHead = kNoEdge;   //!< first consumer edge waiting on us
+        Edge depTail = kNoEdge;   //!< last one (append point)
+        //! Per deps slot: the edge after (this, slot) on the producer's
+        //! list.
+        std::array<Edge, kMaxDeps> nextEdge{};
     };
 
     // Pipeline stages, called in tick().
@@ -229,37 +256,44 @@ class Core final : public Component,
 
     Cycle now_ = 0;
 
-    // Front-end buffer between the kernel and dispatch.
+    // Front-end buffer between the kernel and dispatch. A deque, not a
+    // Ring: one emitChunk() may queue a whole tile of ops, and a ring
+    // would keep that peak allocated for the rest of the run.
     std::deque<MicroOp> opBuffer_;
     SeqNum nextSeq_ = 1;     //!< seq of the next op to be *emitted*
     SeqNum bufferHeadSeq_ = 1; //!< seq of opBuffer_.front()
 
-    // ROB ring: seq of the oldest in-flight op is robHead_.
+    // ROB ring of bit_ceil(robSize) entries indexed by seq & robMask_;
+    // occupancy is still capped at cfg_.robSize. seq of the oldest
+    // in-flight op is robHead_.
     std::vector<RobEntry> rob_;
+    SeqNum robMask_;
     SeqNum robHead_ = 1;
     SeqNum robTail_ = 1; //!< seq the next dispatched op will get
     unsigned lqUsed_ = 0;
     unsigned sqUsed_ = 0;
 
-    std::deque<SeqNum> readyQueue_;
+    Ring<SeqNum> readyQueue_;
     std::vector<SeqNum> fenceBlocked_; //!< mem ops held by an older fence
 
-    // Execution completion wheel for fixed-latency ALU ops.
-    std::vector<std::vector<SeqNum>> wheel_;
+    // Execution completion wheel for fixed-latency ALU ops: an op of
+    // latency l lands in slot (wheelPos_ + l) mod kWheelSlots.
+    static constexpr unsigned kWheelSlots = 64;
+    std::array<std::vector<SeqNum>, kWheelSlots> wheel_;
     unsigned wheelPos_ = 0;
     unsigned wheelPending_ = 0; //!< entries across all wheel slots
 
     // In-flight fencing ops (kRmw/kFence), oldest first.
-    std::deque<SeqNum> fencing_;
+    Ring<SeqNum> fencing_;
 
     // Post-commit L1 store writes awaiting completion (SQ slots held).
     unsigned inflightStoreWrites_ = 0;
 
     // Post-commit store drain: stores awaiting L1 acceptance. The SQ
     // slot is released when the L1 write completes.
-    std::deque<MicroOp> storeBuffer_;
+    Ring<MicroOp> storeBuffer_;
     // Post-commit MMIO stores: delivered in order after mmioLatency.
-    std::deque<std::pair<Cycle, MicroOp>> mmioBuffer_;
+    Ring<std::pair<Cycle, MicroOp>> mmioBuffer_;
 
     Cycle nextPollAt_ = 0;
 

@@ -22,10 +22,10 @@
 #define DX_PREFETCH_INDIRECT_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/prefetcher.hh"
+#include "common/ring.hh"
 #include "common/sim_memory.hh"
 #include "sim/component.hh"
 
@@ -38,8 +38,8 @@ class IndirectPrefetcher final : public Component,
   public:
     struct Config
     {
-        unsigned streamTableSize = 16;
-        unsigned patternTableSize = 16;
+        unsigned streamTableSize = 16; //!< power of two: pc bits
+        unsigned patternTableSize = 16; //!< at most 64
         unsigned recentValues = 8;   //!< index values kept for matching
         unsigned distance = 16;      //!< index elements ahead
         int confidenceThreshold = 2;
@@ -65,6 +65,15 @@ class IndirectPrefetcher final : public Component,
 
     const Stats &stats() const { return stats_; }
 
+    /**
+     * Audit the pattern table: the confidence-level masks are disjoint,
+     * each pattern sits in the mask of its own confidence, their union
+     * is exactly the valid suffix (so the invalid patterns are the
+     * prefix), and no (pc, scale, base) is held twice. dx_asserts on a
+     * mismatch. For tests; nothing on the simulation path calls it.
+     */
+    void checkTable() const;
+
   private:
     struct Stream
     {
@@ -86,7 +95,6 @@ class IndirectPrefetcher final : public Component,
 
     struct Pattern
     {
-        bool valid = false;
         std::uint16_t indexPc = 0;
         std::int64_t base = 0;
         unsigned scale = 4;
@@ -97,13 +105,25 @@ class IndirectPrefetcher final : public Component,
     void matchMiss(Addr missAddr);
     void triggerIndirect(const Recent &r);
     void push(Addr line);
+    /** Move valid pattern @p i to @p confidence, keeping levels_. */
+    void setConfidence(unsigned i, int confidence);
 
     Config cfg_;
     const SimMemory *mem_;
     std::vector<Stream> streams_;
+    /**
+     * Patterns are never invalidated and are allocated from the highest
+     * invalid index down, so the valid ones are exactly the suffix
+     * [size - validPatterns_, size).
+     */
     std::vector<Pattern> patterns_;
-    std::deque<Recent> recent_;
-    std::deque<Addr> queue_;
+    unsigned validPatterns_ = 0;
+    //! Per confidence level 0..threshold+2: bit i set when valid
+    //! pattern i has that confidence. The lowest set bit of the lowest
+    //! non-empty level is the first weakest pattern.
+    std::vector<std::uint64_t> levels_;
+    Ring<Recent> recent_;
+    Ring<Addr> queue_;
     Stats stats_;
 };
 

@@ -126,6 +126,26 @@ struct CoreRig
     }
 };
 
+/** L1 that accepts everything and answers only when told to. */
+struct ManualL1 : public cache::CachePort
+{
+    std::vector<cache::CacheReq> requests;
+
+    bool canAccept() const override { return true; }
+
+    void
+    request(const cache::CacheReq &req) override
+    {
+        requests.push_back(req);
+    }
+
+    void
+    answer(std::size_t i)
+    {
+        requests.at(i).sink->complete(requests.at(i).tag);
+    }
+};
+
 } // namespace
 
 TEST(Core, ExecutesAluChain)
@@ -269,6 +289,78 @@ TEST(Core, RobLimitsRunahead)
     });
     rig.run();
     EXPECT_GT(rig.core.stats().robStallCycles.value(), 0u);
+}
+
+TEST(Core, RobCapacityIsRobSizeNotTheRingSize)
+{
+    // robSize 5 is not a power of two (the ROB ring has 8 slots): with
+    // the head load never answered, exactly 5 ops dispatch and every
+    // later cycle stalls on the ROB.
+    Core::Config cfg;
+    cfg.robSize = 5;
+    ManualL1 l1;
+    Core core(cfg, 0, &l1);
+    ScriptKernel kernel;
+    kernel.add([](OpEmitter &e) {
+        e.load(0x1000, 8, 1);
+        for (int i = 0; i < 20; ++i)
+            e.intOp();
+    });
+    core.setKernel(&kernel);
+
+    core.tick(); // dispatches the first 5 ops, then stalls
+    EXPECT_EQ(core.stats().robStallCycles.value(), 1u);
+    for (int t = 0; t < 99; ++t) {
+        core.tick();
+        core.checkRob();
+    }
+    // Occupancy is sampled at the start of each tick: 0, then 5.
+    EXPECT_EQ(core.stats().robOccupancyAccum, 5u * 99);
+    EXPECT_EQ(core.stats().robStallCycles.value(), 100u);
+    EXPECT_EQ(core.stats().committedOps.value(), 0u);
+    ASSERT_EQ(l1.requests.size(), 1u);
+
+    l1.answer(0);
+    for (int t = 0; t < 100 && !core.done(); ++t)
+        core.tick();
+    EXPECT_TRUE(core.done());
+    EXPECT_EQ(core.stats().committedOps.value(), 21u);
+}
+
+TEST(Core, OpNamingOneProducerTwiceWakesOnce)
+{
+    // A load whose two deps are the same producer load: it waits for
+    // that one completion, then issues exactly once.
+    ManualL1 l1;
+    Core core(Core::Config{}, 0, &l1);
+    ScriptKernel kernel;
+    kernel.add([](OpEmitter &e) {
+        const SeqNum p = e.load(0x1000, 8, 1);
+        e.load(0x2000, 8, 2, 0, p, p);
+    });
+    core.setKernel(&kernel);
+
+    for (int t = 0; t < 20; ++t) {
+        core.tick();
+        core.checkRob();
+    }
+    ASSERT_EQ(l1.requests.size(), 1u); // the consumer still waits
+    EXPECT_EQ(l1.requests[0].addr, 0x1000u);
+
+    l1.answer(0);
+    core.checkRob();
+    for (int t = 0; t < 20; ++t) {
+        core.tick();
+        core.checkRob();
+    }
+    ASSERT_EQ(l1.requests.size(), 2u); // issued once, not twice
+    EXPECT_EQ(l1.requests[1].addr, 0x2000u);
+
+    l1.answer(1);
+    for (int t = 0; t < 20 && !core.done(); ++t)
+        core.tick();
+    EXPECT_TRUE(core.done());
+    EXPECT_EQ(core.stats().committedLoads.value(), 2u);
 }
 
 TEST(Core, LoadQueueLimitsOutstandingLoads)

@@ -1,15 +1,17 @@
 /**
  * @file
  * Remaining unit coverage: SimMemory sparsity and typed access, the
- * bump allocator, Scale / coreSlice partitioning, the RNG's
+ * FIFO ring, the bump allocator, Scale / coreSlice partitioning, the RNG's
  * determinism and distribution sanity, stream-scalar edge cases, and
  * the area/power model identities.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/sim_memory.hh"
 #include "model/area_power.hh"
@@ -53,6 +55,57 @@ TEST(SimMemory, ZeroRange)
     EXPECT_EQ(mem.read<std::uint32_t>(0x1004), 0u);
     EXPECT_EQ(mem.read<std::uint32_t>(0x1008), 0u);
     EXPECT_EQ(mem.read<std::uint32_t>(0x100c), 0xffffffffu);
+}
+
+TEST(Ring, FifoAcrossWrapAroundAndGrowth)
+{
+    // Interleave pushes and pops so the head wraps the array several
+    // times, and grow past the first capacity while wrapped.
+    Ring<int> ring;
+    std::deque<int> model;
+    Rng rng(21);
+    int next = 0;
+    for (int step = 0; step < 5000; ++step) {
+        const unsigned pushPct = step < 2500 ? 55 : 45;
+        const bool push = model.empty() || rng.below(100) < pushPct;
+        if (push) {
+            ring.push_back(next);
+            model.push_back(next++);
+        } else {
+            ASSERT_EQ(ring.front(), model.front()) << "step " << step;
+            ring.pop_front();
+            model.pop_front();
+        }
+        ASSERT_EQ(ring.size(), model.size());
+        ASSERT_EQ(ring.empty(), model.empty());
+    }
+    EXPECT_GT(next, 2000);
+    while (!model.empty()) {
+        ASSERT_EQ(ring.front(), model.front());
+        ring.pop_front();
+        model.pop_front();
+    }
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(Ring, IndexCountsFromTheHead)
+{
+    Ring<int> ring;
+    ring.reserve(5); // rounds up to 8 slots
+    for (int i = 0; i < 6; ++i)
+        ring.push_back(i);
+    for (int i = 0; i < 4; ++i)
+        ring.pop_front();
+    for (int i = 6; i < 12; ++i)
+        ring.push_back(i); // wraps: 8 live entries in 8 slots
+    ASSERT_EQ(ring.size(), 8u);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        EXPECT_EQ(ring[i], static_cast<int>(4 + i));
+    ring.push_back(12); // full while wrapped: grows, keeping the order
+    ring[0] = 40;
+    EXPECT_EQ(ring.front(), 40);
+    for (std::size_t i = 1; i < ring.size(); ++i)
+        EXPECT_EQ(ring[i], static_cast<int>(4 + i));
 }
 
 TEST(SimAllocator, AlignsToHugePages)

@@ -13,9 +13,10 @@
  * System::run uses them — and compares full RunStats at every point
  * where the clocks align, so a violation is pinpointed to the first
  * divergent cycle and field rather than surfacing as a mismatched
- * total at the end of a run. Every step also audits the caches' MSHR
- * indexes and the DRAM controllers' FR-FCFS summaries against their
- * source structures.
+ * total at the end of a run. Every step also audits the cores'
+ * dependence lists, the caches' MSHR indexes, the DMP pattern tables
+ * and the DRAM controllers' FR-FCFS summaries against their source
+ * structures.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "prefetch/indirect_prefetcher.hh"
 #include "sim/system.hh"
 #include "workloads/micro.hh"
 #include "workloads/workload.hh"
@@ -117,13 +119,21 @@ makeRig(unsigned seed, TickPolicy policy)
     return r;
 }
 
-/** Audit every cache's MSHR index and every channel's summaries. */
+/**
+ * Audit every core's ROB, every cache's MSHR index, every DMP pattern
+ * table and every channel's summaries.
+ */
 void
 checkIndexes(System &sys)
 {
     for (unsigned c = 0; c < sys.cores(); ++c) {
+        sys.core(c).checkRob();
         sys.l1(c).checkIndex();
         sys.l2(c).checkIndex();
+        const auto *dmp = dynamic_cast<const prefetch::IndirectPrefetcher *>(
+            sys.l1(c).prefetcher());
+        if (dmp)
+            dmp->checkTable();
     }
     sys.llc().checkIndex();
     for (unsigned ch = 0; ch < sys.dram().channels(); ++ch)

@@ -1,13 +1,17 @@
 /**
  * @file
  * Runtime API and accelerator-unit tests: resource allocation, the
- * TLB, the DMP prefetcher's differential matching, the region
- * directory, tile-size variation, and multi-instance correctness.
+ * TLB, the DMP prefetcher's differential matching (against a reference
+ * model of its pattern table), the region directory, tile-size
+ * variation, and multi-instance correctness.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "dx100/region_directory.hh"
 #include "dx100/tlb.hh"
@@ -116,6 +120,356 @@ TEST(DmpPrefetcher, LearnsIndirectPatternAndPrefetches)
     }
     ASSERT_GT(total, 0u);
     EXPECT_GT(static_cast<double>(useful) / total, 0.5);
+}
+
+namespace
+{
+
+/**
+ * Reference model of the DMP prefetcher: the straightforward form of
+ * its pattern table, with a valid bit per pattern, a full scan per
+ * candidate and a pointer-chased argmin for the weakest pattern. The
+ * observe/matchMiss/triggerIndirect bodies are the simulator's
+ * original ones, plus two coverage counters (allocated, replaced).
+ */
+class ReferenceDmp
+{
+  public:
+    using Config = prefetch::IndirectPrefetcher::Config;
+
+    ReferenceDmp(const Config &cfg, const SimMemory *mem)
+        : cfg_(cfg), mem_(mem), streams_(cfg.streamTableSize),
+          patterns_(cfg.patternTableSize)
+    {
+    }
+
+    std::uint64_t patternsLearned = 0;
+    std::uint64_t indirectPrefetches = 0;
+    std::uint64_t streamPrefetches = 0;
+    std::uint64_t allocated = 0; //!< patterns put in an invalid slot
+    std::uint64_t replaced = 0;  //!< patterns aged to zero and replaced
+
+    void
+    observe(const cache::CacheReq &req, bool miss)
+    {
+        if (req.origin != mem::Origin::kCpuDemand)
+            return;
+        if (miss)
+            matchMiss(req.addr);
+        if (req.write || req.pc == 0)
+            return;
+
+        Stream &s = streams_[req.pc % cfg_.streamTableSize];
+        if (!s.valid || s.pc != req.pc) {
+            s = Stream{};
+            s.valid = true;
+            s.pc = req.pc;
+            s.lastAddr = req.addr;
+            return;
+        }
+        const std::int64_t delta = static_cast<std::int64_t>(req.addr) -
+                                   static_cast<std::int64_t>(s.lastAddr);
+        s.lastAddr = req.addr;
+        if (delta == 0)
+            return;
+        if (delta == s.stride) {
+            if (s.confidence < cfg_.confidenceThreshold + 2)
+                ++s.confidence;
+        } else {
+            if (--s.confidence <= 0) {
+                s.stride = delta;
+                s.confidence = 1;
+            }
+            return;
+        }
+        if (s.confidence < cfg_.confidenceThreshold)
+            return;
+        const std::int64_t absStride = std::abs(s.stride);
+        if (absStride != 4 && absStride != 8)
+            return;
+
+        Recent r;
+        r.pc = req.pc;
+        r.value = req.value;
+        r.addr = req.addr;
+        r.stride = s.stride;
+        r.bytes = static_cast<unsigned>(absStride);
+        recent_.push_back(r);
+        while (recent_.size() > cfg_.recentValues)
+            recent_.pop_front();
+        for (unsigned k = 1; k <= cfg_.streamDegree; ++k) {
+            push(static_cast<Addr>(
+                static_cast<std::int64_t>(req.addr) +
+                s.stride * static_cast<std::int64_t>(8 + k)));
+            ++streamPrefetches;
+        }
+        triggerIndirect(r);
+    }
+
+    bool
+    nextPrefetch(Addr &line)
+    {
+        if (queue_.empty())
+            return false;
+        line = queue_.front();
+        queue_.pop_front();
+        return true;
+    }
+
+    bool pending() const { return !queue_.empty(); }
+
+  private:
+    struct Stream
+    {
+        bool valid = false;
+        std::uint16_t pc = 0;
+        Addr lastAddr = 0;
+        std::int64_t stride = 0;
+        int confidence = 0;
+    };
+
+    struct Recent
+    {
+        std::uint16_t pc = 0;
+        std::uint64_t value = 0;
+        Addr addr = 0;
+        std::int64_t stride = 0;
+        unsigned bytes = 4;
+    };
+
+    struct Pattern
+    {
+        bool valid = false;
+        std::uint16_t indexPc = 0;
+        std::int64_t base = 0;
+        unsigned scale = 4;
+        int confidence = 0;
+    };
+
+    void
+    push(Addr line)
+    {
+        if (queue_.size() < cfg_.queueMax)
+            queue_.push_back(lineAlign(line));
+    }
+
+    void
+    matchMiss(Addr missAddr)
+    {
+        for (const Recent &r : recent_) {
+            for (unsigned scale : {4u, 8u}) {
+                const std::int64_t base =
+                    static_cast<std::int64_t>(missAddr) -
+                    static_cast<std::int64_t>(r.value * scale);
+                if (base < 0)
+                    continue;
+                Pattern *free = nullptr;
+                Pattern *weakest = &patterns_[0];
+                bool handled = false;
+                for (auto &p : patterns_) {
+                    if (p.valid && p.indexPc == r.pc && p.scale == scale &&
+                        p.base == base) {
+                        if (p.confidence < cfg_.confidenceThreshold + 2)
+                            ++p.confidence;
+                        if (p.confidence == cfg_.confidenceThreshold)
+                            ++patternsLearned;
+                        handled = true;
+                        break;
+                    }
+                    if (!p.valid)
+                        free = &p;
+                    else if (p.confidence < weakest->confidence)
+                        weakest = &p;
+                }
+                if (handled)
+                    continue;
+                Pattern *slot = free ? free : weakest;
+                if (!free && slot->confidence > 0) {
+                    --slot->confidence;
+                    continue;
+                }
+                ++(free ? allocated : replaced);
+                slot->valid = true;
+                slot->indexPc = r.pc;
+                slot->base = base;
+                slot->scale = scale;
+                slot->confidence = 1;
+            }
+        }
+    }
+
+    void
+    triggerIndirect(const Recent &r)
+    {
+        for (const auto &p : patterns_) {
+            if (!p.valid || p.indexPc != r.pc ||
+                p.confidence < cfg_.confidenceThreshold) {
+                continue;
+            }
+            const Addr futureAddr = static_cast<Addr>(
+                static_cast<std::int64_t>(r.addr) +
+                r.stride * static_cast<std::int64_t>(cfg_.distance));
+            const std::uint64_t v =
+                r.bytes == 4 ? mem_->read<std::uint32_t>(futureAddr)
+                             : mem_->read<std::uint64_t>(futureAddr);
+            push(static_cast<Addr>(p.base + v * p.scale));
+            ++indirectPrefetches;
+        }
+    }
+
+    Config cfg_;
+    const SimMemory *mem_;
+    std::vector<Stream> streams_;
+    std::vector<Pattern> patterns_;
+    std::deque<Recent> recent_;
+    std::deque<Addr> queue_;
+};
+
+/**
+ * Drive the DMP prefetcher and the reference model with one seeded
+ * stream: strided index loads from several PCs (4- and 8-byte
+ * elements, both directions), the dependent misses A[B[i]] those
+ * loads predict, random misses that fill and churn the pattern table,
+ * writes and non-demand traffic. After every observe the two must
+ * hand out the same prefetch lines and agree on every counter, and
+ * the table audit must hold. @p ref is left holding the reference
+ * model, whose counters show what the stream covered.
+ */
+void
+runDmpDifferential(const prefetch::IndirectPrefetcher::Config &cfg,
+                   std::uint64_t seed, int steps, ReferenceDmp &ref)
+{
+    SimMemory mem;
+    Rng rng(seed);
+    struct IndexStream
+    {
+        std::uint16_t pc;
+        Addr base;
+        unsigned bytes;
+        std::int64_t dir;
+        Addr target; //!< base of the dependent array A
+        unsigned scale;
+        std::int64_t i = 0;
+    };
+    std::vector<IndexStream> streams;
+    for (std::uint16_t k = 0; k < 4; ++k) {
+        IndexStream st{static_cast<std::uint16_t>(11 + k),
+                       Addr{0x100000} * (k + 1), k % 2 ? 8u : 4u,
+                       k == 3 ? -1 : 1, Addr{0x10000000} * (k + 1),
+                       k % 3 == 0 ? 8u : 4u};
+        for (std::int64_t e = -512; e < 512; ++e) {
+            const Addr a = static_cast<Addr>(
+                static_cast<std::int64_t>(st.base) + e * st.bytes);
+            const std::uint64_t v = rng.below(1 << 16);
+            if (st.bytes == 4)
+                mem.write<std::uint32_t>(a, static_cast<std::uint32_t>(v));
+            else
+                mem.write<std::uint64_t>(a, v);
+        }
+        streams.push_back(st);
+    }
+
+    prefetch::IndirectPrefetcher dmp(cfg, &mem);
+    ref = ReferenceDmp(cfg, &mem);
+    for (int step = 0; step < steps; ++step) {
+        cache::CacheReq req;
+        bool miss = rng.below(4) != 0;
+        IndexStream &st = streams[rng.below(streams.size())];
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            // Next index load of one stream (wrapping inside its array).
+            st.i = (st.i + 1) % 400;
+            req.addr = static_cast<Addr>(
+                static_cast<std::int64_t>(st.base) +
+                st.dir * st.i * static_cast<std::int64_t>(st.bytes));
+            req.pc = st.pc;
+            req.value = st.bytes == 4 ? mem.read<std::uint32_t>(req.addr)
+                                      : mem.read<std::uint64_t>(req.addr);
+            break;
+          }
+          case 3:
+          case 4: {
+            // The dependent access that stream's last index predicts.
+            const Addr idxAddr = static_cast<Addr>(
+                static_cast<std::int64_t>(st.base) +
+                st.dir * st.i * static_cast<std::int64_t>(st.bytes));
+            const std::uint64_t v =
+                st.bytes == 4 ? mem.read<std::uint32_t>(idxAddr)
+                              : mem.read<std::uint64_t>(idxAddr);
+            req.addr = st.target + v * st.scale;
+            req.pc = static_cast<std::uint16_t>(40 + rng.below(3));
+            miss = true;
+            break;
+          }
+          case 5:
+          case 6:
+            req.addr = rng.below(Addr{1} << 32);
+            req.pc = 0;
+            break;
+          default:
+            req.addr = rng.below(Addr{1} << 32);
+            req.pc = static_cast<std::uint16_t>(rng.below(64));
+            req.write = rng.below(2) != 0;
+            if (rng.below(2))
+                req.origin = mem::Origin::kPrefetch;
+            break;
+        }
+
+        dmp.observe(req, miss);
+        ref.observe(req, miss);
+        dmp.checkTable();
+
+        const auto &s = dmp.stats();
+        ASSERT_EQ(s.patternsLearned, ref.patternsLearned) << "step " << step;
+        ASSERT_EQ(s.indirectPrefetches, ref.indirectPrefetches)
+            << "step " << step;
+        ASSERT_EQ(s.streamPrefetches, ref.streamPrefetches)
+            << "step " << step;
+        // Pop a few lines (sometimes none, so the queue cap is hit).
+        for (std::uint64_t n = rng.below(6); n > 0; --n) {
+            Addr got = 0, want = 0;
+            const bool hasGot = dmp.nextPrefetch(got);
+            ASSERT_EQ(hasGot, ref.nextPrefetch(want)) << "step " << step;
+            if (!hasGot)
+                break;
+            ASSERT_EQ(got, want) << "step " << step;
+        }
+        ASSERT_EQ(dmp.pending(), ref.pending()) << "step " << step;
+    }
+}
+
+} // namespace
+
+TEST(DmpPrefetcher, MatchesReferenceModel)
+{
+    // Default table (16 patterns, 8 recent values, threshold 2).
+    const prefetch::IndirectPrefetcher::Config dflt;
+    ReferenceDmp big(dflt, nullptr);
+    runDmpDifferential(dflt, 5, 20000, big);
+    EXPECT_GT(big.allocated, 15u); // the table filled
+    EXPECT_GT(big.replaced, 0u);   // and patterns aged out
+    EXPECT_GT(big.patternsLearned, 0u);
+    EXPECT_GT(big.indirectPrefetches, 0u);
+
+    // A small, low-threshold table churns constantly.
+    prefetch::IndirectPrefetcher::Config small;
+    small.patternTableSize = 5;
+    small.recentValues = 3;
+    small.confidenceThreshold = 1;
+    small.queueMax = 8;
+    ReferenceDmp churn(small, nullptr);
+    runDmpDifferential(small, 9, 20000, churn);
+    EXPECT_GT(churn.replaced, 100u);
+    EXPECT_GT(churn.patternsLearned, 0u);
+
+    // A full 64-pattern table uses every bit of a level mask.
+    prefetch::IndirectPrefetcher::Config wide;
+    wide.patternTableSize = 64;
+    ReferenceDmp full(wide, nullptr);
+    runDmpDifferential(wide, 13, 20000, full);
+    EXPECT_GT(full.replaced, 0u);
 }
 
 TEST(TileSize, SmallTilesStillCorrect)
