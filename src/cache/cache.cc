@@ -477,14 +477,7 @@ Cache::drained() const
 bool
 Cache::quiescentSlow() const
 {
-    // Memoized verdicts: nothing the slow path reads has changed since
-    // it last ran (see the QMemo member comment for the argument).
-    if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
-        return true;
-    if (qMemo_ == QMemo::kBlocked &&
-        downstream_->popCount() == blockedPops_) {
-        return true;
-    }
+    // The inline fast path found no memoized verdict that still holds.
     qMemo_ = QMemo::kNone;
 
     if (!writebacks_.empty() ||
@@ -515,12 +508,9 @@ Cache::quiescentSlow() const
         return true;
     }
     if (memo_.action == Action::kDownstreamFull) {
-        const std::uint64_t pops = downstreamPopAddr_
-                                       ? *downstreamPopAddr_
-                                       : downstream_->popCount();
-        if (pops != kPortPopsUnknown) {
+        if (downstreamPopAddr_) {
             qMemo_ = QMemo::kBlocked;
-            blockedPops_ = pops;
+            blockedPops_ = *downstreamPopAddr_;
         }
         return true;
     }

@@ -74,7 +74,6 @@ class Cache final : public Component,
     // CachePort (upstream-facing).
     bool canAccept() const override;
     void request(const CacheReq &req) override;
-    std::uint64_t popCount() const override { return popCount_; }
     const std::uint64_t *
     popCountAddr() const override
     {
@@ -324,7 +323,7 @@ class Cache final : public Component,
     mutable Cycle sleepUntil_ = 0;
     mutable std::uint64_t blockedPops_ = 0;
     //! Downstream pop counter, resolved once at wiring (null when the
-    //! port aggregates or does not track departures).
+    //! port does not track departures).
     const std::uint64_t *downstreamPopAddr_ = nullptr;
 
     void issuePrefetches();
@@ -354,7 +353,7 @@ class Cache final : public Component,
     //! survives the pushes its processing may trigger upstream.
     Ring<Pending> queue_;
     Ring<Addr> writebacks_; //!< dirty victim lines awaiting drain
-    std::uint64_t popCount_ = 0;  //!< input-queue departures (popCount)
+    std::uint64_t popCount_ = 0;  //!< input-queue departures
 
     Cycle now_ = 0;
     std::uint64_t useCounter_ = 0;

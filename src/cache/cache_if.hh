@@ -19,8 +19,6 @@
 namespace dx::cache
 {
 
-using dx::kPortPopsUnknown;
-
 /** Receives line-granularity completions from a cache or port. */
 using CacheRespSink = Completion<std::uint64_t>;
 

@@ -28,12 +28,6 @@ class DramPort : public CachePort, public mem::MemRespSink
     void complete(const mem::MemRequest &req) override;
 
     /** Admission is gated on controller buffers; report their drains. */
-    std::uint64_t
-    popCount() const override
-    {
-        return dram_.dequeueCount();
-    }
-
     const std::uint64_t *
     popCountAddr() const override
     {
@@ -67,25 +61,6 @@ class RangeRouter : public CachePort
     bool canAccept() const override;
     bool canAcceptReq(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
-
-    /**
-     * Departures across every routed port; unknown if any subport
-     * cannot track them (a waiter must then probe every cycle).
-     */
-    std::uint64_t
-    popCount() const override
-    {
-        std::uint64_t sum = fallback_->popCount();
-        if (sum == kPortPopsUnknown)
-            return kPortPopsUnknown;
-        for (const auto &r : ranges_) {
-            const std::uint64_t p = r.port->popCount();
-            if (p == kPortPopsUnknown)
-                return kPortPopsUnknown;
-            sum += p;
-        }
-        return sum;
-    }
 
   private:
     struct Range

@@ -248,6 +248,9 @@ Core::issue()
             readyQueue_.pop_front();
             e.state = EntryState::kIssued;
             const unsigned lat = std::max<unsigned>(e.op.latency, 1);
+            dx_assert(lat < kWheelSlots, name(), ": op latency ", lat,
+                      " does not fit the ", kWheelSlots,
+                      "-slot completion wheel");
             wheel_[(wheelPos_ + lat) & (kWheelSlots - 1)].push_back(seq);
             ++wheelPending_;
             ++issued;
@@ -432,15 +435,7 @@ Core::dispatchStall() const
 bool
 Core::quiescentSlow() const
 {
-    // Nothing that feeds the verdict below has changed since it was
-    // last proven sleep-stable (or L1-gated with no L1 departures).
-    if (sleepValid_)
-        return true;
-    if (blockedValid_ &&
-        (l1PopAddr_ ? *l1PopAddr_ : l1_->popCount()) ==
-            blockedPops_) {
-        return true;
-    }
+    // The inline fast path found no memoized verdict that still holds.
     blockedValid_ = false;
     // Structural activity a tick would advance: wheel completions,
     // then the ready queue and store drain, which are only no-ops when
@@ -490,13 +485,9 @@ Core::quiescentSlow() const
     // entry, so cache it against the L1's departure count.
     if (readyQueue_.empty() && storeBuffer_.empty()) {
         sleepValid_ = true;
-    } else {
-        const std::uint64_t pops =
-            l1PopAddr_ ? *l1PopAddr_ : l1_->popCount();
-        if (pops != cache::kPortPopsUnknown) {
-            blockedValid_ = true;
-            blockedPops_ = pops;
-        }
+    } else if (l1PopAddr_) {
+        blockedValid_ = true;
+        blockedPops_ = *l1PopAddr_;
     }
     return true;
 }

@@ -158,28 +158,13 @@ class Dx100 final : public Component,
     /**
      * Quiescence contract (see DESIGN.md): tick() would be a no-op —
      * every unit idle, nothing queued for dispatch, no scratchpad read
-     * due. One exception: a busy stream or indirect unit in its
-     * wait-idle state (everything issued and in flight, nothing
-     * consumable) is quiescent, because its tick is then provably side-
-     * effect free until a memory response. A unit whose last send was
-     * refused admission by the LLC or DRAM never enters wait-idle, so
-     * it keeps ticking (and retrying) like every other busy-but-blocked
-     * unit state: conservative, since its retries and stall counters
-     * must match the naive loop. A backlogged input queue is quiescent
-     * only while the last dispatch scan's verdict is frozen
-     * (dispatchWait_); each skipped cycle then accounts one dispatch
-     * stall closed-form.
+     * due. A busy accelerator always ticks.
      */
     bool
     quiescent() const override
     {
-        const bool streamIdle =
-            !stream_.busy || stream_.waitIdle ||
-            (stream_.waitGated &&
-             gateLimit(stream_.active) == stream_.gatePrefix);
-        return streamIdle && (!indirect_.busy || indirect_.waitIdle) &&
-               !alu_.busy && !range_.busy &&
-               (inputQueue_.empty() || dispatchWait_) &&
+        return !stream_.busy && !indirect_.busy && !alu_.busy &&
+               !range_.busy && inputQueue_.empty() &&
                (spdPort_.queue.empty() ||
                 spdPort_.queue.front().first > now_);
     }
@@ -198,12 +183,10 @@ class Dx100 final : public Component,
     }
 
     /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent (quiescent() holds and nextEventAt() > now + n).
-     * Accumulates the per-cycle stall stats a slice-full fill retry
-     * would have produced, so skipped runs stay bit-identical.
+     * Advance over @p n cycles the caller has proven quiescent: an
+     * idle accelerator accumulates nothing but its clock.
      */
-    void skipCycles(Cycle n) override;
+    void skipCycles(Cycle n) override { now_ += n; }
 
     /** This instance's clock (kept in sync with the System clock). */
     Cycle localNow() const override { return now_; }
@@ -287,28 +270,6 @@ class Dx100 final : public Component,
         unsigned outstanding = 0;
         unsigned linesDone = 0;
         bool isStore = false;
-
-        /**
-         * Set by streamTick() after a cycle that issued nothing and
-         * could not retire because everything is issued or the request
-         * table is full: the next tick is a provable no-op until a
-         * response arrives (StreamSink::complete clears the flag).
-         * Never set when the LLC refused admission, nor while gated on
-         * a producer's finish bits — those advance in later unit ticks
-         * of the same cycle.
-         */
-        bool waitIdle = false;
-
-        /**
-         * The no-issue cycle was gated on a producer's finish bits at
-         * the recorded prefix. Unlike waitIdle this cannot be trusted
-         * as-is (producers tick later in the same cycle): quiescent()
-         * revalidates it by recomputing gateLimit and comparing with
-         * gatePrefix — equal means the producer has not advanced, so
-         * the next tick recomputes the same gate and is a no-op.
-         */
-        bool waitGated = false;
-        std::uint32_t gatePrefix = 0;
     };
 
     void streamStart(StreamUnit &u);
@@ -329,7 +290,6 @@ class Dx100 final : public Component,
         std::uint32_t n = 0;
         std::uint32_t fillPos = 0;
         bool fillBlocked = false;
-        bool fillGated = false; //!< waiting on a producer's finish bits
         unsigned tlbStall = 0;
         std::uint32_t wordsDone = 0;
         std::uint32_t skippedAtFill = 0; //!< condition-false elements
@@ -340,34 +300,14 @@ class Dx100 final : public Component,
         unsigned outstandingReads = 0;
 
         bool needsWriteback = false; //!< IST/IRMW
-
-        /**
-         * Set by indirectTick() after a cycle that moved nothing: the
-         * drain phase with every issued request in flight. The next
-         * tick is provably a no-op until a response arrives (the
-         * response entry points clear the flag). Never set when a
-         * sendable request/write was refused DRAM/LLC admission.
-         */
-        bool waitIdle = false;
-
-        /**
-         * The wait-idle cycle was a slice-full fill retry: the only
-         * effects of re-ticking are one fillStallCycles bump and one
-         * (idempotent) TLB re-hit per cycle, which skipCycles()
-         * accounts closed-form.
-         */
-        bool waitFillStall = false;
     };
 
     void indirectStart(IndirectUnit &u);
     void indirectTick(IndirectUnit &u);
     void indirectFill(IndirectUnit &u);
-    /** Returns {sent any request, sendable but blocked on admission}. */
-    std::pair<bool, bool> indirectRequests(IndirectUnit &u);
-    /** Returns true when at least one response was consumed. */
-    bool indirectResponses(IndirectUnit &u);
-    /** Returns {sent any write, head write blocked on admission}. */
-    std::pair<bool, bool> indirectWrites(IndirectUnit &u);
+    void indirectRequests(IndirectUnit &u);
+    void indirectResponses(IndirectUnit &u);
+    void indirectWrites(IndirectUnit &u);
     bool indirectDone(const IndirectUnit &u) const;
 
     // ---- fixed-throughput units ------------------------------------------
@@ -414,16 +354,6 @@ class Dx100 final : public Component,
     };
     std::vector<Doorbell> doorbells_;
     std::vector<std::deque<ExecPayload>> sideband_;
-
-    /**
-     * Last tryDispatch() scan found nothing dispatchable, for reasons
-     * frozen while the whole accelerator is quiescent (unit-busy and
-     * hazard masks; never set when a region-ownership retry — which
-     * re-arbitrates against the clock — was involved). Cleared when
-     * the queue grows (mmioWrite) or a unit retires. While it holds,
-     * a skipped cycle accounts one dispatchStalls bump closed-form.
-     */
-    bool dispatchWait_ = false;
 
     std::deque<ExecPayload> inputQueue_;
     std::vector<std::uint64_t> regs_;

@@ -244,8 +244,8 @@ MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
         --bank.queued[q];
         --bank.hits[q];
         queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        ++dequeues_; // a waiter upstream may be watching for space
-        if (dequeueMirror_)
+        // A waiter upstream may be watching for space.
+        if (dequeueMirror_) // unwired in stand-alone controller tests
             ++*dequeueMirror_;
         return true;
     }

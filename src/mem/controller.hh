@@ -152,16 +152,10 @@ class MemoryController final : public Component
     void registerStats(StatRegistry &reg) const override;
 
     /**
-     * Monotonic count of entries that left the request buffers (column
-     * command issued). Lets waiters blocked on canAccept() cache the
-     * "full" verdict: arrivals never free space, so an unchanged count
-     * proves the buffers are still full.
-     */
-    std::uint64_t dequeueCount() const { return dequeues_; }
-
-    /**
-     * Mirror every future dequeue into @p sum as well (the DRAM
-     * system's O(1) aggregate). Wire before the first request arrives.
+     * Count every future request-buffer departure (column command
+     * issued) into @p sum, the DRAM system's aggregate that waiters
+     * blocked on canAccept() watch. Wire before the first request
+     * arrives.
      */
     void setDequeueMirror(std::uint64_t *sum) { dequeueMirror_ = sum; }
 
@@ -256,7 +250,6 @@ class MemoryController final : public Component
     std::vector<Entry> writeQueue_;
     std::deque<PendingResp> pending_;
 
-    std::uint64_t dequeues_ = 0; //!< request-buffer departures
     std::uint64_t *dequeueMirror_ = nullptr; //!< system-wide aggregate
 
     bool writeMode_ = false;

@@ -41,13 +41,11 @@ class DramSystem final : public Component
     /** True if the owning channel can buffer this request now. */
     bool canAccept(Addr lineAddr, bool write) const;
 
-    /** Sum of the channels' request-buffer departure counts. */
-    std::uint64_t dequeueCount() const { return totalDequeues_; }
-
     /**
-     * Stable address of that sum, for per-cycle waiters (see
-     * CachePort::popCountAddr): the channels mirror every dequeue
-     * into it, so a probe is one load instead of a channel loop.
+     * Stable address of the channels' summed request-buffer departure
+     * count, for per-cycle waiters (see RequestPort::popCountAddr): the
+     * channels mirror every dequeue into it, so a probe is one load
+     * instead of a channel loop.
      */
     const std::uint64_t *dequeueCountAddr() const
     {

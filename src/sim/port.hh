@@ -31,9 +31,6 @@
 namespace dx
 {
 
-/** popCount() value for ports that do not track departures. */
-inline constexpr std::uint64_t kPortPopsUnknown = ~std::uint64_t{0};
-
 /** Receives typed completions (the response half of every link). */
 template <typename Payload>
 class Completion
@@ -52,23 +49,13 @@ class RequestPort
     virtual bool canAccept() const = 0;
 
     /**
-     * Monotonic count of departures from whatever resource gates
-     * admission here (queue pops, command issues). Arrivals never free
-     * space, so a waiter that found the port full may cache that
+     * Address of a monotonic count of departures from whatever resource
+     * gates admission here (queue pops, command issues). Arrivals never
+     * free space, so a waiter that found the port full may cache that
      * verdict and re-probe only when the count moves instead of every
-     * cycle — the scheduler's cheap alternative to per-cycle polling.
-     * Ports that do not track departures return kPortPopsUnknown,
-     * which waiters must treat as "never cache".
-     */
-    virtual std::uint64_t popCount() const { return kPortPopsUnknown; }
-
-    /**
-     * Stable address of the counter popCount() reads, for waiters that
-     * probe it every cycle (the quiescence fast paths): one load
-     * instead of a virtual call. Null when the count is aggregated or
-     * untracked — callers must then fall back to popCount(). The
-     * address must stay valid and live-updating for the port's
-     * lifetime.
+     * cycle; reading it is one load, not a virtual call. The address
+     * must stay valid and live-updating for the port's lifetime. Null
+     * means departures are not tracked: waiters must never cache.
      */
     virtual const std::uint64_t *popCountAddr() const { return nullptr; }
 

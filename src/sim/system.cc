@@ -269,17 +269,6 @@ System::~System()
 }
 
 dx100::Dx100 *
-System::dx100For(unsigned coreId)
-{
-    if (dxs_.empty())
-        return nullptr;
-    const unsigned coresPerInst =
-        (cfg_.cores + static_cast<unsigned>(dxs_.size()) - 1) /
-        static_cast<unsigned>(dxs_.size());
-    return dxs_[coreId / coresPerInst].get();
-}
-
-dx100::Dx100 *
 System::dx100(unsigned instance)
 {
     return instance < dxs_.size() ? dxs_[instance].get() : nullptr;

@@ -16,11 +16,17 @@ TopologyBuilder::build(Component &root) const
     Topology t;
     t.dram = std::make_unique<mem::DramSystem>(cfg_.dram);
     t.dramPort = std::make_unique<cache::DramPort>(*t.dram);
-    t.router = std::make_unique<cache::RangeRouter>(*t.dramPort);
+    // Only a DX100 scratchpad range needs steering below the LLC;
+    // without one the LLC binds straight to DRAM.
+    cache::CachePort *llcDown = t.dramPort.get();
+    if (cfg_.dx100Instances > 0) {
+        t.router = std::make_unique<cache::RangeRouter>(*t.dramPort);
+        llcDown = t.router.get();
+    }
 
     cache::Cache::Config llcCfg = cfg_.llc;
     llcCfg.name = "llc";
-    t.llc = std::make_unique<cache::Cache>(llcCfg, t.router.get());
+    t.llc = std::make_unique<cache::Cache>(llcCfg, llcDown);
 
     for (unsigned i = 0; i < cfg_.cores; ++i) {
         cache::Cache::Config l2c = cfg_.l2;

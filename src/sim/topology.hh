@@ -34,6 +34,7 @@ struct Topology
 {
     std::unique_ptr<mem::DramSystem> dram;
     std::unique_ptr<cache::DramPort> dramPort;
+    //! Steers scratchpad lines to DX100; null without an instance.
     std::unique_ptr<cache::RangeRouter> router;
     std::unique_ptr<cache::Cache> llc;
     std::vector<std::unique_ptr<cache::Cache>> l2s;

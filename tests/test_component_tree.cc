@@ -22,6 +22,7 @@
 #include "sim/component.hh"
 #include "sim/stat_registry.hh"
 #include "sim/system.hh"
+#include "sim/topology.hh"
 
 using namespace dx;
 using namespace dx::sim;
@@ -221,6 +222,22 @@ TEST(ComponentTree, DmpTopology)
     ASSERT_NE(dmp, nullptr);
     EXPECT_EQ(dmp->path(), "system.core0.l1d.dmp");
     auditPorts(sys);
+}
+
+TEST(ComponentTree, RangeRouterOnlyWithScratchpad)
+{
+    // Only a DX100 scratchpad range needs steering below the LLC; the
+    // baseline and DMP LLCs bind straight to the DRAM port.
+    auto routerBuilt = [](const SystemConfig &cfg) {
+        Component root("system");
+        SimMemory mem;
+        const Topology t = TopologyBuilder(cfg, mem).build(root);
+        return t.router != nullptr;
+    };
+    EXPECT_FALSE(routerBuilt(SystemConfig::baseline(2)));
+    EXPECT_FALSE(routerBuilt(SystemConfig::withDmp(2)));
+    EXPECT_TRUE(routerBuilt(SystemConfig::withDx100(2)));
+    EXPECT_TRUE(routerBuilt(SystemConfig::withDx100(4, 2)));
 }
 
 TEST(ComponentTree, StatPathsUniqueAndComplete)

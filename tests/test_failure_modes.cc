@@ -36,6 +36,24 @@ struct DirectEmitter : public cpu::OpEmitter
     }
 };
 
+/** Emits a single integer op of a fixed latency. */
+struct OneAluOpKernel : public cpu::Kernel
+{
+    explicit OneAluOpKernel(std::uint8_t latency) : latency(latency) {}
+
+    bool more() const override { return !emitted; }
+
+    void
+    emitChunk(cpu::OpEmitter &e) override
+    {
+        e.intOp(latency);
+        emitted = true;
+    }
+
+    std::uint8_t latency;
+    bool emitted = false;
+};
+
 } // namespace
 
 using FailureDeathTest = ::testing::Test;
@@ -104,6 +122,27 @@ TEST(FailureDeathTest, CycleLimitOverrunNamesStuckComponents)
     EXPECT_DEATH(sys.run(200),
                  "exceeded cycle limit at cycle 200 \\(limit 200.*"
                  "not drained:.* system\\.core0( |$)");
+}
+
+TEST(FailureDeathTest, AluLatencyBeyondCompletionWheelPanics)
+{
+    // The core's completion wheel has 64 slots: a latency of 64 or more
+    // would wrap and complete early instead of late.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    System sys(SystemConfig::baseline(1));
+    OneAluOpKernel k(64);
+    sys.setKernel(0, &k);
+    EXPECT_DEATH(sys.run(1000), "core0: op latency 64");
+}
+
+TEST(FailureModes, LongestAluLatencyTakesItsFullTime)
+{
+    System sys(SystemConfig::baseline(1));
+    OneAluOpKernel k(63);
+    sys.setKernel(0, &k);
+    const RunStats s = sys.run(1000);
+    EXPECT_EQ(s.instructions, 1u);
+    EXPECT_GE(s.cycles, 63u);
 }
 
 TEST(FailureModes, TlbMissPenaltyIsVisibleInTiming)
