@@ -124,13 +124,11 @@ Cache::request(const CacheReq &req)
     dx_assert(canAccept(), cfg_.name, ": input queue overflow");
     if (queue_.empty()) {
         // The push below becomes the new head: every head-derived memo
-        // must go, and a kTimed "nothing until sleepUntil_" verdict
-        // tightens to the new head's service time.
+        // must go, and a held "nothing until" verdict tightens to the
+        // new head's service time (an empty queue never watches the
+        // downstream port).
         memoValid_ = false;
-        if (qMemo_ == QMemo::kTimed)
-            sleepUntil_ = std::min(sleepUntil_, now_ + cfg_.latency);
-        else
-            qMemo_ = QMemo::kNone;
+        verdict_.until = std::min(verdict_.until, now_ + cfg_.latency);
     }
     // Non-empty queue: the head (and thus its stall classification and
     // any quiescence verdict) is untouched — the queue is served in
@@ -155,7 +153,7 @@ Cache::tagsHold(Addr line) const
 bool
 Cache::invalidateLine(Addr line)
 {
-    qMemo_ = QMemo::kNone;
+    verdict_.clear();
     memoValid_ = false;
     const int way = findWay(lineAlign(line));
     if (way < 0)
@@ -172,7 +170,7 @@ Cache::invalidateLine(Addr line)
 void
 Cache::installLine(Addr line, bool dirty, bool prefetched)
 {
-    qMemo_ = QMemo::kNone;
+    verdict_.clear();
     memoValid_ = false;
     // Refill of a line that is already present (e.g. a full-line write
     // raced with a fill): just merge the dirty bit.
@@ -350,7 +348,7 @@ void
 Cache::complete(const std::uint64_t &tag)
 {
     dx_assert(tag < mshrs_.size(), cfg_.name, ": bogus fill tag");
-    qMemo_ = QMemo::kNone;
+    verdict_.clear();
     memoValid_ = false;
     Mshr &m = mshrs_[tag];
     dx_assert(m.line != kNoLine, cfg_.name, ": fill for idle MSHR");
@@ -421,7 +419,7 @@ Cache::tick()
                        memo_.action != Action::kDownstreamFull;
     ++now_;
     memoValid_ = false;
-    qMemo_ = QMemo::kNone;
+    verdict_.clear();
     drainWritebacks();
 
     for (unsigned n = 0; n < cfg_.width && !queue_.empty(); ++n) {
@@ -478,20 +476,18 @@ bool
 Cache::quiescentSlow() const
 {
     // The inline fast path found no memoized verdict that still holds.
-    qMemo_ = QMemo::kNone;
+    verdict_.clear();
 
     if (!writebacks_.empty() ||
         (prefetcher_ && prefetcher_->pending())) {
         return false;
     }
     if (queue_.empty()) {
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = kNeverCycle;
+        verdict_.sleepUntil(kNeverCycle);
         return true;
     }
     if (queue_.front().readyAt > now_ + 1) {
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = queue_.front().readyAt;
+        verdict_.sleepUntil(queue_.front().readyAt);
         return true;
     }
     // Due head: quiescent only if the retry would structurally stall,
@@ -503,15 +499,12 @@ Cache::quiescentSlow() const
     memoValid_ = true;
     if (memo_.action == Action::kMshrFull) {
         // Unblocks only via a fill, which clears the memo.
-        qMemo_ = QMemo::kTimed;
-        sleepUntil_ = kNeverCycle;
+        verdict_.sleepUntil(kNeverCycle);
         return true;
     }
     if (memo_.action == Action::kDownstreamFull) {
-        if (downstreamPopAddr_) {
-            qMemo_ = QMemo::kBlocked;
-            blockedPops_ = *downstreamPopAddr_;
-        }
+        if (downstreamPopAddr_)
+            verdict_.blockOn(downstreamPopAddr_);
         return true;
     }
     return false;

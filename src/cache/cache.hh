@@ -104,40 +104,27 @@ class Cache final : public Component,
      * skipCycles() accumulates closed-form.
      *
      * Inline fast path: the scheduler probes every component every
-     * cycle, so the common long-lived kTimed memo must cost two
-     * compares at the call site, not a cross-TU call.
+     * cycle, so a held verdict must cost a compare or two at the call
+     * site, not a cross-TU call.
      */
     bool
     quiescent() const override
     {
-        if (qMemo_ == QMemo::kTimed && now_ + 1 < sleepUntil_)
-            return true;
-        // Downstream-blocked head: valid while the gating resource's
-        // departure count is unmoved (arrivals never free space). The
-        // cached counter address dodges a virtual call per probe.
-        if (qMemo_ == QMemo::kBlocked && downstreamPopAddr_ &&
-            *downstreamPopAddr_ == blockedPops_) {
-            return true;
-        }
-        return quiescentSlow();
+        return verdict_.holds(now_ + 1) || quiescentSlow();
     }
 
     /**
      * Earliest cycle tick() could act again without external stimulus;
      * kNeverCycle when only a new request or a fill can wake us. Only
-     * meaningful while quiescent() — which (re)establishes the kTimed
-     * memo this fast path returns.
+     * meaningful while quiescent() — which (re)establishes the verdict
+     * whose deadline this fast path returns. A verdict blocked on the
+     * downstream port has none: only external stimulus can wake a
+     * due-but-stalled head (matches nextEventAtSlow()).
      */
     Cycle
     nextEventAt() const override
     {
-        if (qMemo_ == QMemo::kTimed)
-            return sleepUntil_;
-        // A kBlocked head is due-but-stalled: no timed self-event, only
-        // external stimulus can wake it (matches nextEventAtSlow()).
-        if (qMemo_ == QMemo::kBlocked)
-            return kNeverCycle;
-        return nextEventAtSlow();
+        return verdict_.until ? verdict_.until : nextEventAtSlow();
     }
 
     /**
@@ -150,9 +137,9 @@ class Cache final : public Component,
     void
     skipCycles(Cycle n) override
     {
-        // kBlocked is only ever established for a due head stalled on
+        // A watched counter is only ever set for a due head stalled on
         // the downstream port, so the accumulated counter is fixed.
-        if (qMemo_ == QMemo::kBlocked) {
+        if (verdict_.watch) {
             stats_.stallDownstream += n;
             now_ += n;
             return;
@@ -294,7 +281,7 @@ class Cache final : public Component,
      * instead of re-classifying, and tick() processes the head with it
      * unless it read the downstream port (kAllocate, kDownstreamFull),
      * so a hit is classified once. Every slow quiescent() probe
-     * refreshes it, and the entry points that clear qMemo_ — every one
+     * refreshes it, and the entry points that clear verdict_ — every one
      * that changes this cache's state or its queue head — clear it
      * too, so a memo that survives holds for the head as it stands.
      */
@@ -303,25 +290,15 @@ class Cache final : public Component,
 
     /**
      * Cross-cycle memo of the whole quiescent() verdict, so the common
-     * long-lived idle shapes cost one compare per scheduler query:
-     *  - kTimed: idle (or head not yet due) until sleepUntil_; every
-     *    state the verdict reads only moves through this cache's entry
-     *    points, which clear the memo.
-     *  - kBlocked: head due but stalled on a full downstream port;
-     *    still stalled as long as the port's departure count has not
-     *    moved (arrivals never free space).
-     * Cleared by tick(), request(), complete(),
-     * invalidateLine() and installLine().
+     * long-lived idle shapes cost one compare per scheduler query. An
+     * idle cache, a head not yet due or an MSHR-full head sleeps until
+     * a deadline (kNeverCycle when only a fill or a request can wake
+     * it); a due head stalled on a full downstream port watches the
+     * port's departure counter. Cleared by tick(), complete(),
+     * invalidateLine() and installLine(); a request() onto an empty
+     * queue tightens the deadline to the new head's service time.
      */
-    enum class QMemo : std::uint8_t
-    {
-        kNone,
-        kTimed,
-        kBlocked,
-    };
-    mutable QMemo qMemo_ = QMemo::kNone;
-    mutable Cycle sleepUntil_ = 0;
-    mutable std::uint64_t blockedPops_ = 0;
+    mutable QuiescenceMemo verdict_;
     //! Downstream pop counter, resolved once at wiring (null when the
     //! port does not track departures).
     const std::uint64_t *downstreamPopAddr_ = nullptr;

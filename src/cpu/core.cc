@@ -193,8 +193,7 @@ Core::markComplete(SeqNum seq)
 void
 Core::complete(const std::uint64_t &tag)
 {
-    sleepValid_ = false;
-    blockedValid_ = false;
+    verdict_.clear();
     if (tag & kStoreTag) {
         dx_assert(sqUsed_ > 0 && inflightStoreWrites_ > 0,
                   "spurious store completion");
@@ -392,8 +391,7 @@ void
 Core::tick()
 {
     ++now_;
-    sleepValid_ = false;
-    blockedValid_ = false;
+    verdict_.clear();
     ++stats_.cycles;
     stats_.robOccupancyAccum += robTail_ - robHead_;
     stats_.lqOccupancyAccum += lqUsed_;
@@ -436,7 +434,7 @@ bool
 Core::quiescentSlow() const
 {
     // The inline fast path found no memoized verdict that still holds.
-    blockedValid_ = false;
+    verdict_.clear();
     // Structural activity a tick would advance: wheel completions,
     // then the ready queue and store drain, which are only no-ops when
     // blocked on a full L1 input queue.
@@ -483,12 +481,10 @@ Core::quiescentSlow() const
     // Sleep-stable when no check above consulted the L1. Otherwise the
     // verdict is L1-gated — it holds exactly until the L1 pops a queue
     // entry, so cache it against the L1's departure count.
-    if (readyQueue_.empty() && storeBuffer_.empty()) {
-        sleepValid_ = true;
-    } else if (l1PopAddr_) {
-        blockedValid_ = true;
-        blockedPops_ = *l1PopAddr_;
-    }
+    if (readyQueue_.empty() && storeBuffer_.empty())
+        verdict_.sleepUntil(kNeverCycle);
+    else if (l1PopAddr_)
+        verdict_.blockOn(l1PopAddr_);
     return true;
 }
 

@@ -72,8 +72,7 @@ class Core final : public Component,
     setKernel(Kernel *kernel)
     {
         kernel_ = kernel;
-        sleepValid_ = false;
-        blockedValid_ = false;
+        verdict_.clear();
     }
 
     /** Attach the MMIO device (DX100 instance) visible to this core. */
@@ -90,18 +89,12 @@ class Core final : public Component,
      * dispatchable, no store/MMIO drain, no head retirement.
      *
      * Inline fast path: the scheduler probes every core every cycle,
-     * so the sleep-stable memo must cost one load at the call site.
+     * so a held verdict must cost a compare or two at the call site.
      */
     bool
     quiescent() const override
     {
-        if (sleepValid_)
-            return true;
-        // L1-gated memo: valid while the L1 pop counter is unmoved
-        // (one load via the cached address — see popCountAddr).
-        if (blockedValid_ && l1PopAddr_ && *l1PopAddr_ == blockedPops_)
-            return true;
-        return quiescentSlow();
+        return verdict_.holds(now_ + 1) || quiescentSlow();
     }
 
     /**
@@ -211,27 +204,15 @@ class Core final : public Component,
     DispatchStall dispatchStall() const;
 
     /**
-     * Cross-cycle memo that the core is quiescent *and* the verdict
-     * is sleep-stable: it depends only on core-private state, not on
-     * L1 input-queue space (which changes without this core seeing a
-     * call). Only the ready-queue-front and store-drain no-op cases
-     * consult the L1, so the memo is set only when both queues are
-     * empty. Cleared by tick(), complete() and setKernel() — the
-     * only entry points that mutate core state. While set, quiescent()
-     * is a single load.
+     * Cross-cycle memo of the quiescent() verdict, cleared by tick(),
+     * complete() and setKernel() — the only entry points that mutate
+     * core state. A verdict that reads only core-private state (both
+     * the ready queue and the store buffer empty) sleeps with no
+     * deadline. One gated on a full L1 input queue (ready-queue front
+     * load or store drain) watches the L1's departure counter; it is
+     * not memoized when the L1 does not track departures.
      */
-    mutable bool sleepValid_ = false;
-
-    /**
-     * Companion memo for the quiescent-but-L1-gated shapes (ready-
-     * queue front load, or store drain, blocked on a full L1 input
-     * queue): the verdict holds as long as the L1 reports no queue
-     * departures — arrivals never free space, and everything else the
-     * verdict reads is core-private. Cleared together with
-     * sleepValid_; never set when the L1 cannot track departures.
-     */
-    mutable bool blockedValid_ = false;
-    mutable std::uint64_t blockedPops_ = 0;
+    mutable QuiescenceMemo verdict_;
     //! L1 pop counter, resolved once at wiring (null if untracked).
     const std::uint64_t *l1PopAddr_ = nullptr;
 

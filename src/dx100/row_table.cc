@@ -146,32 +146,6 @@ IndirectTables::unsend(const Request &req)
     rows_[c.rowIdx].sentAll = false;
 }
 
-bool
-IndirectTables::hasUnsent(unsigned slice) const
-{
-    const Slice &s = slices_[slice];
-    for (std::uint32_t rowIdx : s.rows) {
-        const Row &r = rows_[rowIdx];
-        if (!r.live)
-            continue;
-        for (ColHandle h : r.cols) {
-            if (!cols_[h].sent && !cols_[h].done)
-                return true;
-        }
-    }
-    return false;
-}
-
-bool
-IndirectTables::anyUnsent() const
-{
-    for (unsigned s = 0; s < slices_.size(); ++s) {
-        if (hasUnsent(s))
-            return true;
-    }
-    return false;
-}
-
 unsigned
 IndirectTables::wordsInColumn(ColHandle h) const
 {

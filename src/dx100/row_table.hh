@@ -82,12 +82,6 @@ class IndirectTables
     /** Revert a nextRequest() (downstream refused the request). */
     void unsend(const Request &req);
 
-    /** Any unsent column in this slice? */
-    bool hasUnsent(unsigned slice) const;
-
-    /** Any unsent column anywhere? */
-    bool anyUnsent() const;
-
     /**
      * Response stage: walk the word chain of a completed column,
      * invoking fn(iter, wordOff) per coalesced word, then release the

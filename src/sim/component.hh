@@ -14,11 +14,14 @@
  * contract through concrete types (every migrated class is `final`), so
  * the memoized inline fast paths stay statically dispatched and the
  * naive-vs-scheduled bit-identity and performance are unchanged.
+ * QuiescenceMemo is the one memoized-verdict shape behind those fast
+ * paths in the core and the caches.
  */
 
 #ifndef DX_SIM_COMPONENT_HH
 #define DX_SIM_COMPONENT_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,51 @@ namespace dx
 {
 
 class StatRegistry;
+
+/**
+ * A memoized quiescent() verdict (DESIGN.md §4c). It holds for the
+ * probe of cycle `next` while next < until and, when a departure
+ * counter is watched, while that counter has not moved since the
+ * verdict was taken (arrivals never free queue space). A sleep verdict
+ * is a deadline with no watched counter; a verdict blocked on a full
+ * downstream queue watches that queue's popCountAddr() and never
+ * expires by itself. The owner clears it at every entry point that can
+ * change what the verdict read.
+ */
+struct QuiescenceMemo
+{
+    Cycle until = 0;                      //!< 0: no verdict held
+    const std::uint64_t *watch = nullptr; //!< departure counter, or null
+    std::uint64_t pops = 0;               //!< *watch when taken
+
+    bool
+    holds(Cycle next) const
+    {
+        return next < until && (!watch || *watch == pops);
+    }
+
+    void
+    clear()
+    {
+        until = 0;
+        watch = nullptr;
+    }
+
+    void
+    sleepUntil(Cycle cycle)
+    {
+        until = cycle;
+        watch = nullptr;
+    }
+
+    void
+    blockOn(const std::uint64_t *counter)
+    {
+        until = kNeverCycle;
+        watch = counter;
+        pops = *counter;
+    }
+};
 
 /** One request-port slot of a component, for the connectivity audit. */
 struct PortRef

@@ -1,13 +1,16 @@
 /**
  * @file
  * Remaining unit coverage: SimMemory sparsity and typed access, the
- * FIFO ring, the bump allocator, Scale / coreSlice partitioning, the RNG's
- * determinism and distribution sanity, stream-scalar edge cases, and
- * the area/power model identities.
+ * FIFO ring, the quiescence memo, the bump allocator, Scale /
+ * coreSlice partitioning, the RNG's determinism and distribution
+ * sanity, stream-scalar edge cases, and the area/power model
+ * identities.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
 
@@ -15,6 +18,7 @@
 #include "common/rng.hh"
 #include "common/sim_memory.hh"
 #include "model/area_power.hh"
+#include "sim/component.hh"
 #include "workloads/workload.hh"
 
 using namespace dx;
@@ -106,6 +110,75 @@ TEST(Ring, IndexCountsFromTheHead)
     EXPECT_EQ(ring.front(), 40);
     for (std::size_t i = 1; i < ring.size(); ++i)
         EXPECT_EQ(ring[i], static_cast<int>(4 + i));
+}
+
+TEST(QuiescenceMemo, ClearedNeverHolds)
+{
+    QuiescenceMemo memo;
+    EXPECT_FALSE(memo.holds(0));
+    EXPECT_FALSE(memo.holds(1));
+    memo.sleepUntil(kNeverCycle);
+    EXPECT_TRUE(memo.holds(1));
+    memo.clear();
+    EXPECT_FALSE(memo.holds(0));
+    EXPECT_FALSE(memo.holds(1));
+    EXPECT_EQ(memo.watch, nullptr);
+}
+
+TEST(QuiescenceMemo, SleepHoldsUpToItsDeadline)
+{
+    QuiescenceMemo memo;
+    memo.sleepUntil(10);
+    EXPECT_TRUE(memo.holds(0));
+    EXPECT_TRUE(memo.holds(9));
+    EXPECT_FALSE(memo.holds(10));
+    EXPECT_FALSE(memo.holds(11));
+    EXPECT_EQ(memo.until, 10u);
+}
+
+TEST(QuiescenceMemo, BlockedHoldsUntilTheCounterMoves)
+{
+    std::uint64_t pops = 7;
+    QuiescenceMemo memo;
+    memo.blockOn(&pops);
+    EXPECT_EQ(memo.until, kNeverCycle); // no deadline of its own
+    EXPECT_TRUE(memo.holds(1));
+    EXPECT_TRUE(memo.holds(1'000'000'000));
+    ++pops;
+    EXPECT_FALSE(memo.holds(1));
+    ++pops; // a counter only moves forward: the verdict never returns
+    EXPECT_FALSE(memo.holds(1));
+    EXPECT_FALSE(memo.holds(1'000'000'000));
+}
+
+TEST(QuiescenceMemo, SleepAfterBlockDropsTheWatch)
+{
+    std::uint64_t pops = 0;
+    QuiescenceMemo memo;
+    memo.blockOn(&pops);
+    memo.sleepUntil(50);
+    EXPECT_EQ(memo.watch, nullptr);
+    ++pops;
+    EXPECT_TRUE(memo.holds(49));
+    EXPECT_FALSE(memo.holds(50));
+}
+
+TEST(QuiescenceMemo, ArrivalTightensOnlyAHeldDeadline)
+{
+    // An arrival due at cycle 20 tightens a held deadline to 20...
+    QuiescenceMemo memo;
+    memo.sleepUntil(kNeverCycle);
+    memo.until = std::min(memo.until, Cycle{20});
+    EXPECT_TRUE(memo.holds(19));
+    EXPECT_FALSE(memo.holds(20));
+    // ...never loosens an earlier one...
+    memo.sleepUntil(12);
+    memo.until = std::min(memo.until, Cycle{20});
+    EXPECT_EQ(memo.until, 12u);
+    // ...and leaves a cleared memo holding nothing.
+    memo.clear();
+    memo.until = std::min(memo.until, Cycle{20});
+    EXPECT_FALSE(memo.holds(0));
 }
 
 TEST(SimAllocator, AlignsToHugePages)
