@@ -64,7 +64,7 @@ struct InstantL1 : public cache::CachePort
     std::vector<cache::CacheReq> pending;
     std::vector<cache::CacheReq> answering;
 
-    bool canAccept() const override { return true; }
+    bool canAccept(const cache::CacheReq &) const override { return true; }
 
     void
     request(const cache::CacheReq &req) override
@@ -217,7 +217,7 @@ struct FillPipe : public cache::CachePort
     std::uint64_t now = 0;
     std::uint64_t latency = 200;
 
-    bool canAccept() const override { return true; }
+    bool canAccept(const cache::CacheReq &) const override { return true; }
 
     void
     request(const cache::CacheReq &req) override
@@ -252,10 +252,12 @@ BM_CacheLlcMissPath(benchmark::State &state)
     std::uint64_t requests = 0;
     for (auto _ : state) {
         for (int t = 0; t < 4096; ++t) {
-            for (int n = 0; n < 2 && llc.canAccept(); ++n) {
+            for (int n = 0; n < 2; ++n) {
                 cache::CacheReq req;
                 req.addr = lineAlign(rng.below(Addr{1} << 34));
                 req.origin = mem::Origin::kDx100;
+                if (!llc.canAccept(req))
+                    break;
                 llc.request(req);
                 ++requests;
             }

@@ -113,15 +113,16 @@ Cache::releaseMshr(unsigned idx)
 }
 
 bool
-Cache::canAccept() const
+Cache::canAccept(const CacheReq &) const
 {
+    // One in-order input queue takes every address.
     return queue_.size() < cfg_.queueSize;
 }
 
 void
 Cache::request(const CacheReq &req)
 {
-    dx_assert(canAccept(), cfg_.name, ": input queue overflow");
+    dx_assert(canAccept(req), cfg_.name, ": input queue overflow");
     if (queue_.empty()) {
         // The push below becomes the new head: every head-derived memo
         // must go, and a held "nothing until" verdict tightens to the
@@ -244,9 +245,7 @@ Cache::classify(const CacheReq &req) const
     const int idx = lowestFreeMshr();
     if (idx < 0)
         return {Action::kMshrFull};
-    CacheReq probe;
-    probe.addr = line;
-    if (!downstream_->canAcceptReq(probe))
+    if (!downstream_->canAccept(fetchReq(req, idx)))
         return {Action::kDownstreamFull};
     return {Action::kAllocate, idx};
 }
@@ -330,6 +329,13 @@ Cache::processRequest(const CacheReq &req, Decision d)
     if (req.sink || req.write)
         m.targets.push_back({req.tag, req.sink, req.write});
 
+    downstream_->request(fetchReq(req, d.index));
+    return true;
+}
+
+CacheReq
+Cache::fetchReq(const CacheReq &req, int mshr) const
+{
     CacheReq down;
     down.addr = req.addr;
     down.write = false; // fetch; dirtiness handled on fill
@@ -338,10 +344,10 @@ Cache::processRequest(const CacheReq &req, Decision d)
     // level's prefetcher can train on the miss stream.
     down.pc = req.pc;
     down.value = req.value;
-    down.tag = static_cast<std::uint64_t>(d.index);
-    down.sink = this;
-    downstream_->request(down);
-    return true;
+    down.tag = static_cast<std::uint64_t>(mshr);
+    // The fill comes back to this cache's complete().
+    down.sink = const_cast<Cache *>(this);
+    return down;
 }
 
 void
@@ -374,7 +380,7 @@ Cache::drainWritebacks()
         wb.fullLine = true;
         wb.origin = mem::Origin::kWriteback;
         wb.sink = nullptr;
-        if (!downstream_->canAcceptReq(wb))
+        if (!downstream_->canAccept(wb))
             return;
         downstream_->request(wb);
         writebacks_.pop_front();
@@ -394,18 +400,16 @@ Cache::issuePrefetches()
             continue;
         line = lineAlign(line);
         const int idx = lowestFreeMshr();
-        CacheReq probe;
-        probe.addr = line;
-        if (idx < 0 || !downstream_->canAcceptReq(probe))
+        if (idx < 0)
             return;
-
-        allocMshr(idx, line, false, true);
         CacheReq down;
         down.addr = line;
-        down.write = false;
         down.origin = mem::Origin::kPrefetch;
         down.tag = static_cast<std::uint64_t>(idx);
         down.sink = this;
+        if (!downstream_->canAccept(down))
+            return;
+        allocMshr(idx, line, false, true);
         downstream_->request(down);
     }
 }

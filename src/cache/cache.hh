@@ -72,7 +72,7 @@ class Cache final : public Component,
     void addChild(Cache *child) { children_.push_back(child); }
 
     // CachePort (upstream-facing).
-    bool canAccept() const override;
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
     const std::uint64_t *
     popCountAddr() const override
@@ -268,6 +268,13 @@ class Cache final : public Component,
      * stall, leave at head.
      */
     bool processRequest(const CacheReq &req, Decision d);
+
+    /**
+     * The downstream fetch a miss on @p req sends from MSHR @p mshr:
+     * what processRequest() sends and what classify() asks the
+     * downstream port to admit.
+     */
+    CacheReq fetchReq(const CacheReq &req, int mshr) const;
 
     // Out-of-line halves of the quiescence API: everything past the
     // header-inlined memo checks.

@@ -6,21 +6,7 @@ namespace dx::cache
 {
 
 bool
-DramPort::canAccept() const
-{
-    // Conservative: every channel must have room for a read and a write,
-    // since the caller does not tell us the target channel in advance.
-    for (unsigned c = 0; c < dram_.channels(); ++c) {
-        if (!dram_.channel(c).canAccept(false) ||
-            !dram_.channel(c).canAccept(true)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool
-DramPort::canAcceptReq(const CacheReq &req) const
+DramPort::canAccept(const CacheReq &req) const
 {
     return dram_.canAccept(lineAlign(req.addr), req.write);
 }
@@ -44,7 +30,6 @@ DramPort::request(const CacheReq &req)
         slots_.emplace_back();
     }
     slots_[slot] = req;
-    ++inflight_;
     dram_.access(line, false, req.origin, slot, this);
 }
 
@@ -55,31 +40,18 @@ DramPort::complete(const mem::MemRequest &mreq)
     const auto slot = static_cast<std::uint32_t>(mreq.tag);
     CacheReq req = slots_[slot];
     freeSlots_.push_back(slot);
-    --inflight_;
     if (req.sink)
         req.sink->complete(req.tag);
 }
 
 bool
-RangeRouter::canAccept() const
-{
-    if (!fallback_->canAccept())
-        return false;
-    for (const auto &r : ranges_) {
-        if (!r.port->canAccept())
-            return false;
-    }
-    return true;
-}
-
-bool
-RangeRouter::canAcceptReq(const CacheReq &req) const
+RangeRouter::canAccept(const CacheReq &req) const
 {
     for (const auto &r : ranges_) {
         if (req.addr >= r.begin && req.addr < r.end)
-            return r.port->canAcceptReq(req);
+            return r.port->canAccept(req);
     }
-    return fallback_->canAcceptReq(req);
+    return fallback_->canAccept(req);
 }
 
 void

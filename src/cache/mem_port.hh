@@ -2,6 +2,8 @@
  * @file
  * Memory-side ports below the LLC: the DRAM adapter and an address-range
  * router that steers scratchpad-region lines to DX100 instead of DRAM.
+ * Both answer canAccept(req) for the one resource the request maps to
+ * (its DRAM channel and read/write queue, or its range's port).
  */
 
 #ifndef DX_CACHE_MEM_PORT_HH
@@ -22,8 +24,8 @@ class DramPort : public CachePort, public mem::MemRespSink
   public:
     explicit DramPort(mem::DramSystem &dram) : dram_(dram) {}
 
-    bool canAccept() const override;
-    bool canAcceptReq(const CacheReq &req) const override;
+    /** Room in the read or write queue of @p req's channel. */
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
     void complete(const mem::MemRequest &req) override;
 
@@ -34,13 +36,10 @@ class DramPort : public CachePort, public mem::MemRespSink
         return dram_.dequeueCountAddr();
     }
 
-    bool busy() const { return inflight_ > 0; }
-
   private:
     mem::DramSystem &dram_;
     std::vector<CacheReq> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    unsigned inflight_ = 0;
 };
 
 /**
@@ -58,8 +57,8 @@ class RangeRouter : public CachePort
         ranges_.push_back({base, base + size, port});
     }
 
-    bool canAccept() const override;
-    bool canAcceptReq(const CacheReq &req) const override;
+    /** Asks the port of the range @p req falls in, else the fallback. */
+    bool canAccept(const CacheReq &req) const override;
     void request(const CacheReq &req) override;
 
   private:

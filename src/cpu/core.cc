@@ -29,6 +29,13 @@ isFencingKind(OpKind k)
     return k == OpKind::kRmw || k == OpKind::kFence;
 }
 
+bool
+needsSq(OpKind k)
+{
+    return k == OpKind::kStore || k == OpKind::kRmw ||
+           k == OpKind::kMmioStore;
+}
+
 } // namespace
 
 Core::Core(const Config &cfg, int id, cache::CachePort *l1)
@@ -74,12 +81,32 @@ Core::emit(const MicroOp &op)
     return nextSeq_++;
 }
 
+bool
+Core::refillDue() const
+{
+    return kernel_ && kernel_->more() && opBuffer_.size() < 4 * cfg_.width;
+}
+
 void
 Core::refillOpBuffer()
 {
-    const std::size_t low = 4 * cfg_.width;
-    while (kernel_ && kernel_->more() && opBuffer_.size() < low)
+    while (refillDue())
         kernel_->emitChunk(*this);
+}
+
+Counter Core::Stats::*
+Core::dispatchStall() const
+{
+    if (opBuffer_.empty())
+        return nullptr;
+    if (robTail_ - robHead_ >= cfg_.robSize)
+        return &Stats::robStallCycles;
+    const MicroOp &op = opBuffer_.front();
+    if (op.kind == OpKind::kLoad && lqUsed_ >= cfg_.lqSize)
+        return &Stats::lqStallCycles;
+    if (needsSq(op.kind) && sqUsed_ >= cfg_.sqSize)
+        return &Stats::sqStallCycles;
+    return nullptr;
 }
 
 void
@@ -90,24 +117,12 @@ Core::dispatch()
     for (unsigned n = 0; n < cfg_.width; ++n) {
         if (opBuffer_.empty())
             return;
-        if (robTail_ - robHead_ >= cfg_.robSize) {
-            ++stats_.robStallCycles;
+        if (Counter Stats::*stall = dispatchStall()) {
+            ++(stats_.*stall);
             return;
         }
 
         const MicroOp &op = opBuffer_.front();
-        if (op.kind == OpKind::kLoad && lqUsed_ >= cfg_.lqSize) {
-            ++stats_.lqStallCycles;
-            return;
-        }
-        const bool needsSq = op.kind == OpKind::kStore ||
-                             op.kind == OpKind::kRmw ||
-                             op.kind == OpKind::kMmioStore;
-        if (needsSq && sqUsed_ >= cfg_.sqSize) {
-            ++stats_.sqStallCycles;
-            return;
-        }
-
         const SeqNum seq = robTail_;
         dx_assert(seq == bufferHeadSeq_, "seq bookkeeping mismatch");
         RobEntry &e = entry(seq);
@@ -119,7 +134,7 @@ Core::dispatch()
 
         if (op.kind == OpKind::kLoad)
             ++lqUsed_;
-        if (needsSq)
+        if (needsSq(op.kind))
             ++sqUsed_;
         if (isFencingKind(op.kind))
             fencing_.push_back(seq);
@@ -204,8 +219,8 @@ Core::complete(const std::uint64_t &tag)
     markComplete(tag);
 }
 
-bool
-Core::issueMemOp(RobEntry &e, SeqNum seq)
+cache::CacheReq
+Core::memReq(const RobEntry &e, SeqNum seq) const
 {
     cache::CacheReq req;
     req.addr = e.op.addr;
@@ -213,8 +228,28 @@ Core::issueMemOp(RobEntry &e, SeqNum seq)
     req.pc = e.op.pc;
     req.value = e.op.value;
     req.tag = seq;
-    req.sink = this;
-    if (!l1_->canAccept())
+    // The request only names this core as its completion sink.
+    req.sink = const_cast<Core *>(this);
+    return req;
+}
+
+cache::CacheReq
+Core::storeReq(const MicroOp &op) const
+{
+    cache::CacheReq req;
+    req.addr = op.addr;
+    req.write = true;
+    req.pc = op.pc;
+    req.tag = kStoreTag;
+    req.sink = const_cast<Core *>(this);
+    return req;
+}
+
+bool
+Core::issueMemOp(RobEntry &e, SeqNum seq)
+{
+    const cache::CacheReq req = memReq(e, seq);
+    if (!l1_->canAccept(req))
         return false;
     l1_->request(req);
     e.state = EntryState::kIssued;
@@ -276,6 +311,23 @@ Core::issue()
     }
 }
 
+bool
+Core::fenceMayProceed(const RobEntry &e) const
+{
+    return e.state == EntryState::kReady && storeBuffer_.empty() &&
+           inflightStoreWrites_ == 0 && mmioBuffer_.empty();
+}
+
+bool
+Core::headWaiting() const
+{
+    if (robHead_ == robTail_)
+        return false;
+    const RobEntry &e = entry(robHead_);
+    return e.op.kind == OpKind::kDxWait &&
+           e.state != EntryState::kComplete;
+}
+
 void
 Core::commit()
 {
@@ -287,13 +339,10 @@ Core::commit()
         if (e.state != EntryState::kComplete && e.headBlocked) {
             switch (e.op.kind) {
               case OpKind::kRmw:
-                if (e.state == EntryState::kReady &&
-                    storeBuffer_.empty() && inflightStoreWrites_ == 0 &&
-                    mmioBuffer_.empty()) {
-                    if (issueMemOp(e, robHead_)) {
-                        // issued; completes via complete
-                    }
-                }
+                // A refused RMW retries next cycle; an issued one
+                // completes via complete().
+                if (fenceMayProceed(e))
+                    issueMemOp(e, robHead_);
                 return;
               case OpKind::kDxWait:
                 ++stats_.waitCycles;
@@ -306,11 +355,8 @@ Core::commit()
                 }
                 return;
               case OpKind::kFence:
-                if (e.state == EntryState::kReady &&
-                    storeBuffer_.empty() && inflightStoreWrites_ == 0 &&
-                    mmioBuffer_.empty()) {
+                if (fenceMayProceed(e))
                     markComplete(robHead_);
-                }
                 return;
               default:
                 dx_panic("unexpected head-blocked kind");
@@ -355,20 +401,20 @@ Core::commit()
     }
 }
 
+bool
+Core::storeDrainDue() const
+{
+    return !storeBuffer_.empty() &&
+           l1_->canAccept(storeReq(storeBuffer_.front()));
+}
+
 void
 Core::drainStores()
 {
     for (unsigned n = 0; n < cfg_.storeDrain; ++n) {
-        if (storeBuffer_.empty() || !l1_->canAccept())
+        if (!storeDrainDue())
             return;
-        const MicroOp &op = storeBuffer_.front();
-        cache::CacheReq req;
-        req.addr = op.addr;
-        req.write = true;
-        req.pc = op.pc;
-        req.tag = kStoreTag;
-        req.sink = this;
-        l1_->request(req);
+        l1_->request(storeReq(storeBuffer_.front()));
         ++inflightStoreWrites_;
         storeBuffer_.pop_front();
     }
@@ -412,24 +458,6 @@ Core::tick()
     drainMmio();
 }
 
-Core::DispatchStall
-Core::dispatchStall() const
-{
-    if (opBuffer_.empty())
-        return DispatchStall::kNone;
-    if (robTail_ - robHead_ >= cfg_.robSize)
-        return DispatchStall::kRob;
-    const MicroOp &op = opBuffer_.front();
-    if (op.kind == OpKind::kLoad && lqUsed_ >= cfg_.lqSize)
-        return DispatchStall::kLq;
-    const bool needsSq = op.kind == OpKind::kStore ||
-                         op.kind == OpKind::kRmw ||
-                         op.kind == OpKind::kMmioStore;
-    if (needsSq && sqUsed_ >= cfg_.sqSize)
-        return DispatchStall::kSq;
-    return DispatchStall::kNone;
-}
-
 bool
 Core::quiescentSlow() const
 {
@@ -453,16 +481,14 @@ Core::quiescentSlow() const
             return false; // likewise
         if (e.op.kind != OpKind::kLoad || fencePending(seq))
             return false; // would issue or move to fenceBlocked_
-        if (l1_->canAccept())
+        if (l1_->canAccept(memReq(e, seq)))
             return false; // the load would issue
     }
-    if (!storeBuffer_.empty() && l1_->canAccept())
-        return false; // drainStores() would issue
-    // dispatch() would refill the front-end buffer from the kernel.
-    if (kernel_ && kernel_->more() && opBuffer_.size() < 4 * cfg_.width)
+    // drainStores() would send a store, or dispatch() would refill.
+    if (storeDrainDue() || refillDue())
         return false;
     // dispatch() would move the front-end head into the ROB.
-    if (!opBuffer_.empty() && dispatchStall() == DispatchStall::kNone)
+    if (!opBuffer_.empty() && !dispatchStall())
         return false;
     if (robHead_ != robTail_) {
         const RobEntry &e = entry(robHead_);
@@ -472,11 +498,8 @@ Core::quiescentSlow() const
         // commit() would issue a head kRmw or complete a head kFence.
         // A head kDxWait stays quiescent between polls: waitCycles is
         // closed-form and the poll itself is the next event.
-        if (e.headBlocked && e.op.kind != OpKind::kDxWait &&
-            e.state == EntryState::kReady && storeBuffer_.empty() &&
-            inflightStoreWrites_ == 0 && mmioBuffer_.empty()) {
+        if (isFencingKind(e.op.kind) && fenceMayProceed(e))
             return false;
-        }
     }
     // Sleep-stable when no check above consulted the L1. Otherwise the
     // verdict is L1-gated — it holds exactly until the L1 pops a queue
@@ -494,13 +517,8 @@ Core::nextEventAt() const
     Cycle ev = kNeverCycle;
     if (!mmioBuffer_.empty())
         ev = std::min(ev, mmioBuffer_.front().first);
-    if (robHead_ != robTail_) {
-        const RobEntry &e = entry(robHead_);
-        if (e.state != EntryState::kComplete && e.headBlocked &&
-            e.op.kind == OpKind::kDxWait) {
-            ev = std::min(ev, nextPollAt_);
-        }
-    }
+    if (headWaiting())
+        ev = std::min(ev, nextPollAt_);
     return ev;
 }
 
@@ -515,26 +533,10 @@ Core::skipCycles(Cycle n)
 
     // Exactly the per-cycle counters the naive loop would have bumped
     // while frozen in this state.
-    if (robHead_ != robTail_) {
-        const RobEntry &e = entry(robHead_);
-        if (e.state != EntryState::kComplete && e.headBlocked &&
-            e.op.kind == OpKind::kDxWait) {
-            stats_.waitCycles += n;
-        }
-    }
-    switch (dispatchStall()) {
-      case DispatchStall::kRob:
-        stats_.robStallCycles += n;
-        break;
-      case DispatchStall::kLq:
-        stats_.lqStallCycles += n;
-        break;
-      case DispatchStall::kSq:
-        stats_.sqStallCycles += n;
-        break;
-      case DispatchStall::kNone:
-        break;
-    }
+    if (headWaiting())
+        stats_.waitCycles += n;
+    if (Counter Stats::*stall = dispatchStall())
+        stats_.*stall += n;
 }
 
 bool

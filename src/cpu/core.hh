@@ -188,20 +188,32 @@ class Core final : public Component,
     void drainStores();
     void drainMmio();
 
-    /**
-     * Why dispatch() would stall on the front-end head this cycle
-     * (kNone = it would dispatch, or the buffer is empty). Shared by
-     * quiescent() and skipCycles() so the skipped stall counters match
-     * the naive loop's bit-for-bit.
+    /*
+     * Each stage's "would it act?" question, asked in one place by the
+     * stage itself and by quiescentSlow()/nextEventAt()/skipCycles(),
+     * so the probe cannot drift from the tick it stands in for.
      */
-    enum class DispatchStall : std::uint8_t
-    {
-        kNone,
-        kRob,
-        kLq,
-        kSq,
-    };
-    DispatchStall dispatchStall() const;
+
+    /**
+     * The stall counter dispatch() would bump on the front-end head
+     * this cycle; null when it would dispatch or the buffer is empty.
+     * skipCycles() adds n to the same counter, so the skipped stall
+     * counts match the naive loop's bit for bit.
+     */
+    Counter Stats::*dispatchStall() const;
+    /** The ROB head is a kDxWait between polls (waitCycles accrue). */
+    bool headWaiting() const;
+    /** Head kRmw/kFence @p e may go ahead: ready, older stores drained. */
+    bool fenceMayProceed(const RobEntry &e) const;
+    /** dispatch() would pull more ops from the kernel. */
+    bool refillDue() const;
+    /** drainStores() would send the store buffer's head to the L1. */
+    bool storeDrainDue() const;
+
+    /** The L1 request of ROB load/RMW @p e (sequence number @p seq). */
+    cache::CacheReq memReq(const RobEntry &e, SeqNum seq) const;
+    /** The L1 write of post-commit store @p op. */
+    cache::CacheReq storeReq(const MicroOp &op) const;
 
     /**
      * Cross-cycle memo of the quiescent() verdict, cleared by tick(),

@@ -204,10 +204,10 @@ Dx100::tryDispatch()
         const UnitKind unit = unitFor(p.instr.op);
 
         const bool unitFree =
-            (unit == UnitKind::kStream && !stream_.busy) ||
-            (unit == UnitKind::kIndirect && !indirect_.busy) ||
-            (unit == UnitKind::kAlu && !alu_.busy) ||
-            (unit == UnitKind::kRange && !range_.busy);
+            (unit == UnitKind::kStream && !stream_.active.valid) ||
+            (unit == UnitKind::kIndirect && !indirect_.active.valid) ||
+            (unit == UnitKind::kAlu && !alu_.active.valid) ||
+            (unit == UnitKind::kRange && !range_.active.valid);
 
         // WAW/WAR against anything in flight or older in the queue
         // still blocks; RAW against an *executing* producer is allowed
@@ -281,26 +281,20 @@ Dx100::dispatchTo(UnitKind unit, ExecPayload &&payload)
 
     switch (unit) {
       case UnitKind::kStream:
-        stream_.busy = true;
         stream_.active = std::move(a);
         streamStart(stream_);
         break;
       case UnitKind::kIndirect:
-        indirect_.busy = true;
         indirect_.active = std::move(a);
         indirectStart(indirect_);
         break;
       case UnitKind::kAlu:
-        alu_.busy = true;
         alu_.active = std::move(a);
         alu_.processed = 0;
-        alu_.rate = cfg_.aluLanes;
         break;
       case UnitKind::kRange:
-        range_.busy = true;
         range_.active = std::move(a);
         range_.processed = 0;
-        range_.rate = cfg_.rangeRate;
         break;
     }
 }
@@ -312,19 +306,15 @@ Dx100::retire(UnitKind unit)
     switch (unit) {
       case UnitKind::kStream:
         a = &stream_.active;
-        stream_.busy = false;
         break;
       case UnitKind::kIndirect:
         a = &indirect_.active;
-        indirect_.busy = false;
         break;
       case UnitKind::kAlu:
         a = &alu_.active;
-        alu_.busy = false;
         break;
       case UnitKind::kRange:
         a = &range_.active;
-        range_.busy = false;
         break;
     }
 
@@ -411,7 +401,7 @@ Dx100::streamStart(StreamUnit &u)
 void
 Dx100::streamTick(StreamUnit &u)
 {
-    if (!u.busy)
+    if (!u.active.valid)
         return;
 
     // Gate on still-executing producers of the data/condition tiles
@@ -432,8 +422,6 @@ Dx100::streamTick(StreamUnit &u)
             break;
         if (u.outstanding >= cfg_.requestTableSize)
             break;
-        if (!llcPort_ || !llcPort_->canAccept())
-            break;
         cache::CacheReq req;
         req.addr = u.lines[u.issuePos];
         req.write = u.isStore;
@@ -441,6 +429,8 @@ Dx100::streamTick(StreamUnit &u)
         req.origin = mem::Origin::kDx100;
         req.tag = u.issuePos;
         req.sink = &streamSink_;
+        if (!llcPort_ || !llcPort_->canAccept(req))
+            break;
         llcPort_->request(req);
         if (u.isStore)
             ++stats_.llcWrites;
@@ -611,16 +601,15 @@ Dx100::indirectRequests(IndirectUnit &u)
 
             const Addr line = u.lineOfHandle[req->handle];
             if (req->cacheHit) {
-                if (!llcPort_ || !llcPort_->canAccept()) {
-                    tables_.unsend(*req);
-                    break;
-                }
                 cache::CacheReq creq;
                 creq.addr = line;
-                creq.write = false;
                 creq.origin = mem::Origin::kDx100;
                 creq.tag = req->handle;
                 creq.sink = &llcSink_;
+                if (!llcPort_ || !llcPort_->canAccept(creq)) {
+                    tables_.unsend(*req);
+                    break;
+                }
                 llcPort_->request(creq);
                 ++stats_.llcReads;
             } else {
@@ -669,13 +658,12 @@ Dx100::indirectWrites(IndirectUnit &u)
     while (!u.pendingWrites.empty()) {
         const auto [line, viaCache] = u.pendingWrites.front();
         if (viaCache) {
-            if (!llcPort_ || !llcPort_->canAccept())
-                return;
             cache::CacheReq creq;
             creq.addr = line;
             creq.write = true;
             creq.origin = mem::Origin::kDx100;
-            creq.sink = nullptr;
+            if (!llcPort_ || !llcPort_->canAccept(creq))
+                return;
             llcPort_->request(creq);
             ++stats_.llcWrites;
         } else {
@@ -691,7 +679,7 @@ Dx100::indirectWrites(IndirectUnit &u)
 void
 Dx100::indirectTick(IndirectUnit &u)
 {
-    if (!u.busy)
+    if (!u.active.valid)
         return;
     indirectResponses(u);
     indirectWrites(u);
@@ -705,12 +693,14 @@ Dx100::indirectTick(IndirectUnit &u)
 void
 Dx100::timedTick(TimedUnit &u, UnitKind kind)
 {
-    if (!u.busy)
+    if (!u.active.valid)
         return;
     const std::uint32_t count = u.active.payload.count;
     const std::uint32_t limit =
         std::min<std::uint32_t>(count, gateLimit(u.active));
-    u.processed = std::min<std::uint64_t>(u.processed + u.rate, limit);
+    const unsigned rate =
+        kind == UnitKind::kAlu ? cfg_.aluLanes : cfg_.rangeRate;
+    u.processed = std::min<std::uint64_t>(u.processed + rate, limit);
 
     if (u.active.progress && count > 0) {
         // In-order lanes: published output prefix tracks consumed
@@ -727,7 +717,7 @@ Dx100::timedTick(TimedUnit &u, UnitKind kind)
 // ---------------------------------------------------------------------
 
 bool
-Dx100::SpdPort::canAccept() const
+Dx100::SpdPort::canAccept(const cache::CacheReq &) const
 {
     return queue.size() < owner->cfg_.spdPortQueue;
 }
@@ -805,18 +795,18 @@ Dx100::debugDump() const
 {
     std::ostringstream os;
     os << "dx100: inputQ=" << inputQueue_.size()
-       << " stream=" << (stream_.busy ? "busy" : "idle")
+       << " stream=" << (stream_.active.valid ? "busy" : "idle")
        << "(issue=" << stream_.issuePos << "/" << stream_.lines.size()
        << " out=" << stream_.outstanding << ")"
-       << " indirect=" << (indirect_.busy ? "busy" : "idle")
+       << " indirect=" << (indirect_.active.valid ? "busy" : "idle")
        << "(fill=" << indirect_.fillPos << "/" << indirect_.n
        << (indirect_.fillBlocked ? " blocked" : "")
        << " resp=" << indirect_.responses.size()
        << " wr=" << indirect_.pendingWrites.size()
        << " outRd=" << indirect_.outstandingReads
        << " drained=" << tables_.drained() << ")"
-       << " alu=" << (alu_.busy ? "busy" : "idle")
-       << " rng=" << (range_.busy ? "busy" : "idle")
+       << " alu=" << (alu_.active.valid ? "busy" : "idle")
+       << " rng=" << (range_.active.valid ? "busy" : "idle")
        << " spdQ=" << spdPort_.queue.size();
     return os.str();
 }
@@ -824,8 +814,7 @@ Dx100::debugDump() const
 bool
 Dx100::idle() const
 {
-    if (!inputQueue_.empty() || stream_.busy || indirect_.busy ||
-        alu_.busy || range_.busy || !spdPort_.queue.empty()) {
+    if (!inputQueue_.empty() || unitsBusy() || !spdPort_.queue.empty()) {
         return false;
     }
     for (const auto &sb : sideband_) {

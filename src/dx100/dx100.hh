@@ -163,8 +163,7 @@ class Dx100 final : public Component,
     bool
     quiescent() const override
     {
-        return !stream_.busy && !indirect_.busy && !alu_.busy &&
-               !range_.busy && inputQueue_.empty() &&
+        return !unitsBusy() && inputQueue_.empty() &&
                (spdPort_.queue.empty() ||
                 spdPort_.queue.front().first > now_);
     }
@@ -263,7 +262,6 @@ class Dx100 final : public Component,
 
     struct StreamUnit
     {
-        bool busy = false;
         Active active;
         std::vector<Addr> lines;
         std::size_t issuePos = 0;
@@ -285,7 +283,6 @@ class Dx100 final : public Component,
 
     struct IndirectUnit
     {
-        bool busy = false;
         Active active;
         std::uint32_t n = 0;
         std::uint32_t fillPos = 0;
@@ -312,12 +309,14 @@ class Dx100 final : public Component,
 
     // ---- fixed-throughput units ------------------------------------------
 
+    /**
+     * The ALU or the range fuser: consumes cfg_.aluLanes or
+     * cfg_.rangeRate elements per cycle, by unit kind.
+     */
     struct TimedUnit
     {
-        bool busy = false;
         Active active;
         std::uint64_t processed = 0; //!< input elements consumed
-        std::uint64_t rate = 1;      //!< elements per cycle
     };
 
     // ---- scratchpad port -------------------------------------------------
@@ -327,7 +326,7 @@ class Dx100 final : public Component,
         Dx100 *owner = nullptr;
         std::deque<std::pair<Cycle, cache::CacheReq>> queue;
 
-        bool canAccept() const override;
+        bool canAccept(const cache::CacheReq &req) const override;
         void request(const cache::CacheReq &req) override;
     };
 
@@ -363,6 +362,14 @@ class Dx100 final : public Component,
     std::uint64_t nextId_ = 1;
 
     void timedTick(TimedUnit &u, UnitKind kind);
+
+    /** Some unit holds an instruction (dispatchTo() to retire()). */
+    bool
+    unitsBusy() const
+    {
+        return stream_.active.valid || indirect_.active.valid ||
+               alu_.active.valid || range_.active.valid;
+    }
 
     StreamUnit stream_;
     IndirectUnit indirect_;

@@ -26,12 +26,6 @@ MemoryController::canAccept(bool write) const
                  : readQueue_.size() < cfg_.readQueueSize;
 }
 
-unsigned
-MemoryController::readSlotsFree() const
-{
-    return cfg_.readQueueSize - static_cast<unsigned>(readQueue_.size());
-}
-
 void
 MemoryController::enqueue(const MemRequest &req)
 {
@@ -57,13 +51,7 @@ MemoryController::enqueue(const MemRequest &req)
     // both queues. Row-hit pinning is ignored here — it can only delay
     // the entry, and the hint may run early, never late.
     if (eventHintValid_) {
-        Cycle ev;
-        if (hit)
-            ev = req.write ? bank.nextWr : bank.nextRd;
-        else if (bank.openRow < 0)
-            ev = std::max(bank.nextAct, fawReadyAt());
-        else
-            ev = bank.nextPre;
+        Cycle ev = commandReadyAt(bank, req.write, hit, fawReadyAt());
         if (wouldToggleWriteMode())
             ev = Cycle{0};
         eventHint_ = std::min(eventHint_, ev);
@@ -402,25 +390,30 @@ MemoryController::fawReadyAt() const
 }
 
 Cycle
+MemoryController::commandReadyAt(const Bank &bank, bool writes, bool hit,
+                                 Cycle faw)
+{
+    if (hit)
+        return writes ? bank.nextWr : bank.nextRd;
+    if (bank.openRow < 0)
+        return std::max(bank.nextAct, faw);
+    return bank.nextPre;
+}
+
+Cycle
 MemoryController::earliestCommandAt() const
 {
     // For each bank the served queue uses, the timer of the command
-    // its entries wait for: a column command when the open row has
-    // hits, an ACT when the bank is closed, else a PRE. A bank whose
-    // open row has hits is pinned (mirrors tryPrecharge), so its
-    // conflicts add no PRE candidate.
+    // its entries wait for. A bank whose open row has hits is pinned
+    // (mirrors tryPrecharge), so its conflicts add no PRE candidate.
     const unsigned q = writeMode_ ? kWrites : kReads;
     const Cycle faw = fawReadyAt();
     Cycle ev = kNeverCycle;
     for (const Bank &bank : banks_) {
-        if (bank.queued[q] == 0)
-            continue;
-        if (bank.openRow < 0)
-            ev = std::min(ev, std::max(bank.nextAct, faw));
-        else if (bank.hits[q] != 0)
-            ev = std::min(ev, writeMode_ ? bank.nextWr : bank.nextRd);
-        else
-            ev = std::min(ev, bank.nextPre);
+        if (bank.queued[q] != 0) {
+            ev = std::min(ev, commandReadyAt(bank, writeMode_,
+                                             bank.hits[q] != 0, faw));
+        }
     }
     return ev;
 }

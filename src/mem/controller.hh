@@ -80,9 +80,6 @@ class MemoryController final : public Component
     /** True if a request of the given type can be enqueued right now. */
     bool canAccept(bool write) const;
 
-    /** Free read-buffer slots (used by DX100's request generator). */
-    unsigned readSlotsFree() const;
-
     /** Enqueue a request; canAccept(write) must be true. */
     void enqueue(const MemRequest &req);
 
@@ -218,6 +215,15 @@ class MemoryController final : public Component
 
     /** Earliest cycle the tFAW window admits another ACT. */
     Cycle fawReadyAt() const;
+
+    /**
+     * The per-bank command rule: when the next command an entry of
+     * @p bank waits for is ready. That is the column timer when the
+     * entry @p hit the open row, the ACT timer (bounded by the tFAW
+     * window's @p faw) when the bank is closed, else the PRE timer.
+     */
+    static Cycle commandReadyAt(const Bank &bank, bool writes, bool hit,
+                                Cycle faw);
 
     /** Earliest bank-timer expiry over banks the served queue uses. */
     Cycle earliestCommandAt() const;

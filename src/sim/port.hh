@@ -6,6 +6,8 @@
  *  - RequestPort<Req> is the admission-gated request side. The cache
  *    hierarchy's CachePort, the DRAM adapter, the range router and
  *    DX100's scratchpad port are all RequestPort<cache::CacheReq>.
+ *    Admission has one probe, canAccept(req), asked about the very
+ *    request the caller is about to send.
  *  - Completion<Payload> is the response side. Cache fill callbacks
  *    (Completion<std::uint64_t>, the requester-defined cookie) and
  *    DRAM completions (Completion<mem::MemRequest>) are the two
@@ -46,7 +48,15 @@ class RequestPort
 {
   public:
     virtual ~RequestPort() = default;
-    virtual bool canAccept() const = 0;
+
+    /**
+     * Would request(@p req) be admitted this cycle? Ports that
+     * multiplex resources by address (the DRAM adapter's per-channel
+     * queues, the range router) answer for the resource @p req maps
+     * to, so one busy resource does not starve traffic headed
+     * elsewhere.
+     */
+    virtual bool canAccept(const Req &req) const = 0;
 
     /**
      * Address of a monotonic count of departures from whatever resource
@@ -58,18 +68,6 @@ class RequestPort
      * means departures are not tracked: waiters must never cache.
      */
     virtual const std::uint64_t *popCountAddr() const { return nullptr; }
-
-    /**
-     * Request-specific admission: ports that multiplex resources by
-     * address (the DRAM adapter's per-channel queues) override this so
-     * one busy resource does not starve traffic headed elsewhere.
-     */
-    virtual bool
-    canAcceptReq(const Req &req) const
-    {
-        (void)req;
-        return canAccept();
-    }
 
     virtual void request(const Req &req) = 0;
 };

@@ -85,7 +85,6 @@ SystemConfig::validate() const
 
 SystemConfig::SystemConfig()
 {
-    l1.name = "L1D";
     l1.sizeBytes = 32 * 1024;
     l1.assoc = 8;
     l1.latency = 4;
@@ -93,7 +92,6 @@ SystemConfig::SystemConfig()
     l1.queueSize = 16;
     l1.width = 2;
 
-    l2.name = "L2";
     l2.sizeBytes = 256 * 1024;
     l2.assoc = 4;
     l2.latency = 12;
@@ -101,7 +99,6 @@ SystemConfig::SystemConfig()
     l2.queueSize = 24;
     l2.width = 2;
 
-    llc.name = "LLC";
     llc.sizeBytes = 10 * 1024 * 1024;
     llc.assoc = 20;
     llc.latency = 42;
@@ -421,8 +418,10 @@ System::run(Cycle maxCycles)
             // Name what is stuck: every component still holding work.
             std::string stuck;
             forEachComponent(*this, [&](const Component &c) {
-                if (&c != this && !c.drained())
-                    stuck += " " + c.path();
+                if (&c != this && !c.drained()) {
+                    stuck += ' ';
+                    stuck += c.path();
+                }
             });
             dx_fatal("simulation exceeded cycle limit at cycle ", now_,
                      " (limit ", limit, " = start ", start, " + ",

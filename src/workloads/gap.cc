@@ -14,13 +14,6 @@ using runtime::DataType;
 namespace
 {
 
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
 /** Host BFS computing depths from vertex 0. */
 std::vector<std::uint32_t>
 hostBfs(const CsrGraph &g)

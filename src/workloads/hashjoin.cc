@@ -11,18 +11,6 @@ namespace dx::wl
 using runtime::AluOp;
 using runtime::DataType;
 
-namespace
-{
-
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
-} // namespace
-
 // =====================================================================
 // PRH
 // =====================================================================

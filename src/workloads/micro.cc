@@ -13,14 +13,6 @@ using runtime::DataType;
 namespace
 {
 
-/** Register an array region with every DX100 instance. */
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
 /** Deterministic fill value for A[i]. */
 std::uint32_t
 fillValue(std::size_t i)

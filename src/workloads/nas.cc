@@ -12,18 +12,6 @@ namespace dx::wl
 using runtime::AluOp;
 using runtime::DataType;
 
-namespace
-{
-
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
-} // namespace
-
 // =====================================================================
 // IS: A[K[i]] += 1
 // =====================================================================

@@ -11,13 +11,6 @@ using runtime::DataType;
 namespace
 {
 
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
 /**
  * Stored value is a pure function of the target index, so duplicate
  * scatter targets are write-idempotent: any execution order (or any

@@ -14,13 +14,6 @@ using runtime::DataType;
 namespace
 {
 
-void
-registerAll(sim::System &sys, Addr base, Addr size)
-{
-    for (unsigned i = 0; sys.runtime(i); ++i)
-        sys.runtime(i)->registerRegion(base, size);
-}
-
 constexpr unsigned kNone = runtime::Dx100Runtime::kNone;
 
 } // namespace

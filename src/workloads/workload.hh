@@ -85,6 +85,14 @@ coreSlice(std::size_t n, unsigned c, unsigned k)
     return {b, e};
 }
 
+/** Register an array region with every DX100 instance. */
+inline void
+registerAll(sim::System &sys, Addr base, Addr size)
+{
+    for (unsigned i = 0; sys.runtime(i); ++i)
+        sys.runtime(i)->registerRegion(base, size);
+}
+
 } // namespace dx::wl
 
 #endif // DX_WORKLOADS_WORKLOAD_HH

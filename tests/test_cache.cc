@@ -1,7 +1,8 @@
 /**
  * @file
  * Cache tests: hit/miss behaviour, LRU, MSHR coalescing, write-allocate,
- * writebacks, inclusive back-invalidation, and the stride prefetcher.
+ * writebacks, inclusive back-invalidation, the stride prefetcher, and
+ * per-request admission at the DRAM port and the range router.
  */
 
 #include <gtest/gtest.h>
@@ -95,7 +96,7 @@ struct Rig
         req.pc = pc;
         req.tag = tag;
         req.sink = &sink;
-        ASSERT_TRUE(cache.canAccept());
+        ASSERT_TRUE(cache.canAccept(req));
         cache.request(req);
     }
 
@@ -308,7 +309,7 @@ struct ManualPort : public CachePort
 {
     std::vector<CacheReq> sent;
 
-    bool canAccept() const override { return true; }
+    bool canAccept(const CacheReq &) const override { return true; }
     void request(const CacheReq &req) override { sent.push_back(req); }
 };
 
@@ -486,7 +487,7 @@ TEST(RangeRouter, RoutesByAddressRange)
     struct StubPort : public CachePort
     {
         int count = 0;
-        bool canAccept() const override { return true; }
+        bool canAccept(const CacheReq &) const override { return true; }
         void request(const CacheReq &) override { ++count; }
     };
 
@@ -504,4 +505,66 @@ TEST(RangeRouter, RoutesByAddressRange)
 
     EXPECT_EQ(spdStub.count, 2);
     EXPECT_EQ(dramStub.count, 1);
+}
+
+namespace
+{
+
+/** First line at or after @p from that maps to DRAM channel @p ch. */
+Addr
+lineOnChannel(const mem::DramSystem &dram, unsigned ch, Addr from = 0)
+{
+    Addr a = lineAlign(from);
+    while (dram.channelOf(a) != ch)
+        a += kLineBytes;
+    return a;
+}
+
+} // namespace
+
+TEST(DramPort, AdmitsPerChannelAndDirection)
+{
+    mem::DramSystem dram(mem::DramSystem::Config{});
+    ASSERT_GE(dram.channels(), 2u);
+    DramPort port(dram);
+
+    // Fill channel 0's read queue through the port; the read left in
+    // hand is the first one it refuses.
+    CacheReq read;
+    read.addr = lineOnChannel(dram, 0);
+    for (int n = 0; n < 1000 && port.canAccept(read); ++n) {
+        port.request(read);
+        read.addr = lineOnChannel(dram, 0, read.addr + kLineBytes);
+    }
+    ASSERT_FALSE(dram.channel(0).canAccept(false));
+    EXPECT_FALSE(port.canAccept(read));
+
+    CacheReq other = read;
+    other.addr = lineOnChannel(dram, 1);
+    EXPECT_TRUE(port.canAccept(other));
+
+    CacheReq write = read;
+    write.write = true;
+    EXPECT_TRUE(port.canAccept(write));
+}
+
+TEST(RangeRouter, AdmitsFromThePortOfTheRequestsRange)
+{
+    struct FullPort : public CachePort
+    {
+        bool canAccept(const CacheReq &) const override { return false; }
+        void request(const CacheReq &) override { FAIL(); }
+    };
+
+    mem::DramSystem dram(mem::DramSystem::Config{});
+    DramPort dramPort(dram);
+    FullPort spd;
+    RangeRouter router(dramPort);
+    router.addRange(0x10000, 0x1000, &spd);
+
+    CacheReq req;
+    req.addr = 0x10040;
+    EXPECT_FALSE(router.canAccept(req));
+    req.addr = 0x20000;
+    EXPECT_TRUE(router.canAccept(req));
 }

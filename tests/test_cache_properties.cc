@@ -48,13 +48,14 @@ missesFor(std::uint64_t cacheBytes, unsigned assoc,
 
     Rng rng(seed);
     std::uint64_t issued = 0;
+    CacheReq req; // the next access, sent once the cache admits it
+    req.addr = lineAlign(rng.below(workingSet));
+    req.sink = &sink;
     while (sink.done < accesses) {
-        if (issued < accesses && cache.canAccept()) {
-            CacheReq req;
-            req.addr = lineAlign(rng.below(workingSet));
+        if (issued < accesses && cache.canAccept(req)) {
             req.tag = issued++;
-            req.sink = &sink;
             cache.request(req);
+            req.addr = lineAlign(rng.below(workingSet));
         }
         cache.tick();
         dram.tick();
@@ -115,14 +116,15 @@ TEST(CacheProperties, DirtyEvictionsAllReachMemory)
         std::uint64_t issued = 0;
         const std::uint64_t start = sink.done;
         while (sink.done < start + lines) {
-            if (issued < lines && cache.canAccept()) {
-                CacheReq req;
-                req.addr = base + issued * kLineBytes;
-                req.write = write;
-                req.fullLine = write;
-                req.tag = issued++;
-                req.sink = &sink;
+            CacheReq req;
+            req.addr = base + issued * kLineBytes;
+            req.write = write;
+            req.fullLine = write;
+            req.tag = issued;
+            req.sink = &sink;
+            if (issued < lines && cache.canAccept(req)) {
                 cache.request(req);
+                ++issued;
             }
             cache.tick();
             dram.tick();
@@ -178,10 +180,12 @@ TEST(CacheProperties, InclusiveHierarchyNeverHoldsLineAboveLlc)
     Rng rng(11);
     std::vector<Addr> touched;
     for (int step = 0; step < 20000; ++step) {
-        if (l1.canAccept() && rng.below(2)) {
-            CacheReq req;
+        // The L1's input queue admits any address, so the coin and the
+        // address are drawn only once it has room.
+        CacheReq req;
+        req.sink = &sink;
+        if (l1.canAccept(req) && rng.below(2)) {
             req.addr = lineAlign(rng.below(256 * 1024));
-            req.sink = &sink;
             l1.request(req);
             touched.push_back(lineAlign(req.addr));
         }

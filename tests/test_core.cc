@@ -131,7 +131,7 @@ struct ManualL1 : public cache::CachePort
 {
     std::vector<cache::CacheReq> requests;
 
-    bool canAccept() const override { return true; }
+    bool canAccept(const cache::CacheReq &) const override { return true; }
 
     void
     request(const cache::CacheReq &req) override
