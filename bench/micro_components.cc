@@ -303,6 +303,40 @@ BM_ControllerFullBuffer(benchmark::State &state)
 BENCHMARK(BM_ControllerFullBuffer);
 
 static void
+BM_ControllerReadWriteMix(benchmark::State &state)
+{
+    // BM_ControllerFullBuffer with about 30% writes: arrivals stop at
+    // the first request whose queue is full, so the write queue keeps
+    // crossing its drain watermarks and the tWTR/tRTW turnarounds and
+    // write-mode switches run.
+    mem::MemoryController::Config cfg;
+    cfg.timings.refreshEnabled = false;
+    mem::MemoryController ctrl(cfg, 0);
+    Rng rng(17);
+    for (auto _ : state) {
+        for (int t = 0; t < 4096; ++t) {
+            for (;;) {
+                mem::MemRequest req;
+                req.write = rng.below(10) < 3;
+                if (!ctrl.canAccept(req.write))
+                    break;
+                req.coord.bankGroup =
+                    static_cast<std::uint16_t>(rng.below(4));
+                req.coord.bank = static_cast<std::uint16_t>(rng.below(4));
+                req.coord.row = static_cast<std::uint32_t>(rng.below(64));
+                req.coord.column =
+                    static_cast<std::uint32_t>(rng.below(128));
+                ctrl.enqueue(req);
+            }
+            benchmark::DoNotOptimize(ctrl.nextEventAt());
+            ctrl.tick();
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_ControllerReadWriteMix);
+
+static void
 BM_DmpMatchMiss(benchmark::State &state)
 {
     // The DMP prefetcher's differential matcher on random demand

@@ -7,27 +7,6 @@
 namespace dx::mem
 {
 
-namespace
-{
-
-/** Pop @p bits low-order bits from @p value, returning them. */
-std::uint64_t
-popBits(std::uint64_t &value, unsigned bits)
-{
-    const std::uint64_t field = value & ((std::uint64_t{1} << bits) - 1);
-    value >>= bits;
-    return field;
-}
-
-unsigned
-log2i(std::uint64_t v)
-{
-    dx_assert(v != 0 && (v & (v - 1)) == 0, "value must be a power of 2");
-    return static_cast<unsigned>(std::countr_zero(v));
-}
-
-} // namespace
-
 std::string
 to_string(MapOrder order)
 {
@@ -39,84 +18,59 @@ to_string(MapOrder order)
     return "unknown";
 }
 
-DramCoord
-AddressMap::decompose(Addr addr) const
+AddressMap::AddressMap(const DramGeometry &geom, MapOrder order)
+    : geom_(geom), order_(order)
 {
-    std::uint64_t line = addr >> kLineShift;
+    if (geom_.rows == 0)
+        dx_fatal("AddressMap: rows must be non-zero");
+    if (geom_.rows > 1 && std::has_single_bit(geom_.rows))
+        rowMask_ = geom_.rows - 1;
 
-    const unsigned chBits = log2i(geom_.channels);
-    const unsigned bgBits = log2i(geom_.bankGroups);
-    const unsigned baBits = log2i(geom_.banksPerGroup);
-    const unsigned raBits = log2i(geom_.ranks);
-    const unsigned coBits = log2i(geom_.linesPerRow());
-
-    DramCoord c;
+    // Lay the fields out LSB first; the row takes the remaining bits.
+    unsigned shift = 0;
+    const auto place = [&shift](Field &f, unsigned count,
+                                const char *name) {
+        if (!std::has_single_bit(count)) {
+            dx_fatal("AddressMap: ", name, " = ", count,
+                     " is not a power of two");
+        }
+        f.shift = shift;
+        f.mask = count - 1;
+        shift += static_cast<unsigned>(std::countr_zero(count));
+    };
+    const unsigned lines = geom_.linesPerRow();
     switch (order_) {
       case MapOrder::kChBgCoBaRo:
-        c.channel = popBits(line, chBits);
-        c.bankGroup = popBits(line, bgBits);
-        c.column = popBits(line, coBits);
-        c.bank = popBits(line, baBits);
-        c.rank = popBits(line, raBits);
+        place(channel_, geom_.channels, "channels");
+        place(bankGroup_, geom_.bankGroups, "bankGroups");
+        place(column_, lines, "rowBytes / kLineBytes");
         break;
       case MapOrder::kChCoBgBaRo:
-        c.channel = popBits(line, chBits);
-        c.column = popBits(line, coBits);
-        c.bankGroup = popBits(line, bgBits);
-        c.bank = popBits(line, baBits);
-        c.rank = popBits(line, raBits);
+        place(channel_, geom_.channels, "channels");
+        place(column_, lines, "rowBytes / kLineBytes");
+        place(bankGroup_, geom_.bankGroups, "bankGroups");
         break;
       case MapOrder::kCoChBgBaRo:
-        c.column = popBits(line, coBits);
-        c.channel = popBits(line, chBits);
-        c.bankGroup = popBits(line, bgBits);
-        c.bank = popBits(line, baBits);
-        c.rank = popBits(line, raBits);
+        place(column_, lines, "rowBytes / kLineBytes");
+        place(channel_, geom_.channels, "channels");
+        place(bankGroup_, geom_.bankGroups, "bankGroups");
         break;
     }
-    c.row = static_cast<std::uint32_t>(line % geom_.rows);
-    return c;
+    place(bank_, geom_.banksPerGroup, "banksPerGroup");
+    place(rank_, geom_.ranks, "ranks");
+    rowShift_ = shift;
 }
 
 Addr
 AddressMap::compose(const DramCoord &coord) const
 {
-    const unsigned chBits = log2i(geom_.channels);
-    const unsigned bgBits = log2i(geom_.bankGroups);
-    const unsigned baBits = log2i(geom_.banksPerGroup);
-    const unsigned raBits = log2i(geom_.ranks);
-    const unsigned coBits = log2i(geom_.linesPerRow());
-
-    std::uint64_t line = coord.row;
-
-    // Push fields back, MSB first (reverse of decompose).
-    auto push = [&line](std::uint64_t field, unsigned bits) {
-        line = (line << bits) | field;
+    const auto at = [](std::uint64_t value, const Field &f) {
+        return value << f.shift;
     };
-
-    switch (order_) {
-      case MapOrder::kChBgCoBaRo:
-        push(coord.rank, raBits);
-        push(coord.bank, baBits);
-        push(coord.column, coBits);
-        push(coord.bankGroup, bgBits);
-        push(coord.channel, chBits);
-        break;
-      case MapOrder::kChCoBgBaRo:
-        push(coord.rank, raBits);
-        push(coord.bank, baBits);
-        push(coord.bankGroup, bgBits);
-        push(coord.column, coBits);
-        push(coord.channel, chBits);
-        break;
-      case MapOrder::kCoChBgBaRo:
-        push(coord.rank, raBits);
-        push(coord.bank, baBits);
-        push(coord.bankGroup, bgBits);
-        push(coord.channel, chBits);
-        push(coord.column, coBits);
-        break;
-    }
+    const std::uint64_t line =
+        (std::uint64_t{coord.row} << rowShift_) | at(coord.rank, rank_) |
+        at(coord.bank, bank_) | at(coord.bankGroup, bankGroup_) |
+        at(coord.column, column_) | at(coord.channel, channel_);
     return line << kLineShift;
 }
 

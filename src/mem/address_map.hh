@@ -93,12 +93,37 @@ class AddressMap
   public:
     AddressMap() : AddressMap(DramGeometry{}, MapOrder::kChBgCoBaRo) {}
 
-    AddressMap(const DramGeometry &geom, MapOrder order)
-        : geom_(geom), order_(order)
-    {}
+    /**
+     * Place every field at its shift for @p order. dx_fatal names the
+     * first field of @p geom that is not a power of two (channels,
+     * ranks, bankGroups, banksPerGroup, rowBytes / kLineBytes) or a
+     * zero row count.
+     */
+    AddressMap(const DramGeometry &geom, MapOrder order);
 
     /** Decompose a byte address (its line) into DRAM coordinates. */
-    DramCoord decompose(Addr addr) const;
+    DramCoord
+    decompose(Addr addr) const
+    {
+        const std::uint64_t line = addr >> kLineShift;
+        DramCoord c;
+        c.channel = static_cast<std::uint16_t>(channel_.of(line));
+        c.rank = static_cast<std::uint16_t>(rank_.of(line));
+        c.bankGroup = static_cast<std::uint16_t>(bankGroup_.of(line));
+        c.bank = static_cast<std::uint16_t>(bank_.of(line));
+        c.column = static_cast<std::uint32_t>(column_.of(line));
+        const std::uint64_t row = line >> rowShift_;
+        c.row = static_cast<std::uint32_t>(
+            rowMask_ ? row & rowMask_ : row % geom_.rows);
+        return c;
+    }
+
+    /** The channel field of a byte address, alone. */
+    unsigned
+    channelOf(Addr addr) const
+    {
+        return static_cast<unsigned>(channel_.of(addr >> kLineShift));
+    }
 
     /** Recompose coordinates into the line base address (inverse). */
     Addr compose(const DramCoord &coord) const;
@@ -107,8 +132,24 @@ class AddressMap
     MapOrder order() const { return order_; }
 
   private:
+    /** One power-of-two field of a line address. */
+    struct Field
+    {
+        unsigned shift = 0;
+        std::uint64_t mask = 0;
+
+        std::uint64_t of(std::uint64_t line) const
+        {
+            return (line >> shift) & mask;
+        }
+    };
+
     DramGeometry geom_;
     MapOrder order_;
+    Field channel_, rank_, bankGroup_, bank_, column_;
+    unsigned rowShift_ = 0; //!< the row sits above every field
+    /** rows - 1 when rows is a power of two above 1, else 0: % rows. */
+    std::uint64_t rowMask_ = 0;
 };
 
 } // namespace dx::mem

@@ -1,6 +1,7 @@
 #include "mem/controller.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -15,6 +16,35 @@ MemoryController::MemoryController(const Config &cfg, unsigned channelId)
       banks_(cfg.geom.banksPerChannel()),
       nextRefresh_(cfg.timings.tREFI)
 {
+    // The bank-group scope carries each _L rule and the channel scope
+    // each _S rule. A bank takes the max of both, which is the rule's
+    // _L for a bank in the commanding bank's group only while
+    // _L >= _S.
+    const auto &t = cfg_.timings;
+    const auto needLongAtLeastShort = [this](const char *field,
+                                             unsigned l, unsigned s) {
+        if (l < s) {
+            dx_fatal(name(), ": ", field, "_L = ", l, " is below ", field,
+                     "_S = ", s, "; the scoped DDR4 timers need _L >= _S");
+        }
+    };
+    needLongAtLeastShort("tCCD", t.tCCD_L, t.tCCD_S);
+    needLongAtLeastShort("tRRD", t.tRRD_L, t.tRRD_S);
+    needLongAtLeastShort("tWTR", t.tWTR_L, t.tWTR_S);
+    if (banks_.size() > kMaxBanks) {
+        dx_fatal(name(), ": banksPerChannel = ", banks_.size(),
+                 " exceeds the ", kMaxBanks, " the readiness masks hold");
+    }
+    if (cfg_.geom.bankGroups > kMaxBankGroups) {
+        dx_fatal(name(), ": bankGroups = ", cfg_.geom.bankGroups,
+                 " exceeds the ", kMaxBankGroups,
+                 " bank-group timer scopes");
+    }
+    // A bank's group ignores the rank: ranks share the group timers.
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        banks_[b].group =
+            (b / cfg_.geom.banksPerGroup) % cfg_.geom.bankGroups;
+    }
     readQueue_.reserve(cfg.readQueueSize);
     writeQueue_.reserve(cfg.writeQueueSize);
 }
@@ -39,11 +69,27 @@ MemoryController::enqueue(const MemRequest &req)
     (req.write ? writeQueue_ : readQueue_).push_back(e);
     Bank &bank = banks_[e.bank];
     const unsigned q = req.write ? kWrites : kReads;
+    const std::uint64_t bit = std::uint64_t{1} << e.bank;
+    const bool newBank = (queuedMask_[q] & bit) == 0;
     ++bank.queued[q];
+    queuedMask_[q] |= bit;
     const bool hit =
         bank.openRow == static_cast<std::int64_t>(req.coord.row);
     if (hit)
         ++bank.hits[q];
+
+    // Patch the one readiness-table entry this bank has. A bank new to
+    // the served queue gains one; an open bank's first hit turns its
+    // conflict PRE into a column command, whose later timer may have
+    // held the minimum, so that rare case rebuilds instead.
+    if (tableValid_ && q == served()) {
+        if (newBank) {
+            setReadiness(e.bank, fawReadyAt());
+            tableMin_ = std::min(tableMin_, readyAt_[e.bank]);
+        } else if (hit && bank.hits[q] == 1) {
+            tableValid_ = false;
+        }
+    }
 
     // An enqueue only *adds* command candidates, so the cached hint
     // remains a conservative-early bound for everything already
@@ -121,6 +167,7 @@ MemoryController::tick()
 
     if (tryRefresh()) {
         eventHintValid_ = false;
+        tableValid_ = false;
         return;
     }
 
@@ -135,13 +182,10 @@ MemoryController::tick()
             readCredit_ = cfg_.writeBurstMax;
         }
         productive = true;
+        tableValid_ = false;
     }
 
-    if (writeMode_) {
-        productive |= tryIssueFrom(writeQueue_, true);
-    } else {
-        productive |= tryIssueFrom(readQueue_, false);
-    }
+    productive |= issueCommand();
     // A productive tick moved state the hint depends on. An
     // unproductive tick with an *overdue* hint means the early bound
     // fired spuriously (the hint may run early, never late) — drop it
@@ -179,12 +223,13 @@ MemoryController::tryRefresh()
 
     Cycle ready = now_;
     for (const auto &bank : banks_)
-        ready = std::max(ready, bank.nextAct);
+        ready = std::max(ready, timerAt(bank, &Timers::act));
     if (ready > now_)
         return true;
 
-    for (auto &bank : banks_)
-        bank.nextAct = now_ + cfg_.timings.tRFC;
+    // Every bank's ACT timer has passed, so one channel-wide tRFC
+    // holds each bank exactly as long as a per-bank one would.
+    channelTimers_.act = now_ + cfg_.timings.tRFC;
     nextRefresh_ += cfg_.timings.tREFI;
     refreshPending_ = false;
     ++stats_.refCommands;
@@ -192,132 +237,119 @@ MemoryController::tryRefresh()
 }
 
 bool
-MemoryController::tryIssueFrom(std::vector<Entry> &queue, bool writes)
+MemoryController::issueCommand()
 {
-    if (tryColumn(queue, writes)) {
-        if (writes)
-            ++writeBurst_;
-        else if (readCredit_ > 0)
-            --readCredit_;
-        return true;
-    }
-    if (tryActivate(queue))
-        return true;
-    return tryPrecharge(queue, writes);
-}
-
-bool
-MemoryController::tryColumn(std::vector<Entry> &queue, bool writes)
-{
-    const unsigned q = writes ? kWrites : kReads;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        Entry &e = queue[i];
-        Bank &bank = banks_[e.bank];
-        if (bank.openRow != static_cast<std::int64_t>(e.req.coord.row))
-            continue;
-        const Cycle ready = writes ? bank.nextWr : bank.nextRd;
-        if (ready > now_)
-            continue;
-
-        if (writes)
-            issueWrite(e);
-        else
-            issueRead(e);
-
-        if (e.neededAct)
-            ++stats_.rowMisses;
-        else
-            ++stats_.rowHits;
-
-        --bank.queued[q];
-        --bank.hits[q];
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
-        // A waiter upstream may be watching for space.
-        if (dequeueMirror_) // unwired in stand-alone controller tests
-            ++*dequeueMirror_;
-        return true;
-    }
-    return false;
-}
-
-bool
-MemoryController::tryActivate(std::vector<Entry> &queue)
-{
-    if (!actAllowedByFaw())
+    if (earliestCommandAt() > now_)
         return false;
-    for (auto &e : queue) {
-        const Bank &bank = banks_[e.bank];
-        if (bank.openRow >= 0 || bank.nextAct > now_)
-            continue;
-        issueAct(e.bank, e.req.coord.row, e.req.coord.bankGroup);
-        e.neededAct = true;
-        // Sibling requests to the same (bank, row) become row hits and
-        // need no flag; requests to other rows of this bank will conflict.
-        return true;
-    }
-    return false;
-}
 
-bool
-MemoryController::tryPrecharge(std::vector<Entry> &queue, bool writes)
-{
-    const unsigned q = writes ? kWrites : kReads;
-    for (const auto &e : queue) {
-        const Bank &bank = banks_[e.bank];
-        // FR-FCFS: do not close a row that still has pending hits in
-        // the queue currently being served (a hit entry is itself never
-        // a conflict). Only that queue: letting the idle queue's hits
-        // pin rows open deadlocks the drain.
-        if (bank.openRow < 0 || bank.hits[q] != 0 || bank.nextPre > now_)
-            continue;
-        issuePre(e.bank);
+    // Ready masks per command class, from the table alone.
+    const unsigned q = served();
+    std::uint64_t ready[3] = {0, 0, 0};
+    for (std::uint64_t m = queuedMask_[q]; m != 0; m &= m - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+        if (readyAt_[b] <= now_)
+            ready[readyCmd_[b]] |= std::uint64_t{1} << b;
+    }
+    const Cmd cmd = ready[kColumn] ? kColumn : ready[kAct] ? kAct : kPre;
+    const std::uint64_t mask = ready[cmd];
+
+    // FR-FCFS: the oldest entry of a ready bank; a column command also
+    // needs the entry to hit the open row.
+    std::vector<Entry> &queue = writeMode_ ? writeQueue_ : readQueue_;
+    std::size_t i = 0;
+    for (; i < queue.size(); ++i) {
+        const Entry &e = queue[i];
+        if (((mask >> e.bank) & 1) != 0 &&
+            (cmd != kColumn ||
+             banks_[e.bank].openRow ==
+                 static_cast<std::int64_t>(e.req.coord.row))) {
+            break;
+        }
+    }
+    dx_assert(i < queue.size(), name(), ": readiness table names a ready ",
+              "bank with no matching entry");
+
+    tableValid_ = false;
+    switch (cmd) {
+      case kColumn:
+        issueColumn(queue, i);
+        break;
+      case kAct:
+        issueAct(queue[i]);
+        break;
+      case kPre:
+        issuePre(queue[i].bank);
         ++stats_.rowConflicts;
-        return true;
+        break;
     }
-    return false;
-}
-
-bool
-MemoryController::actAllowedByFaw() const
-{
-    return actWindow_.size() < 4 ||
-           now_ >= actWindow_.front() + cfg_.timings.tFAW;
+    return true;
 }
 
 void
-MemoryController::issueAct(unsigned flatBank, std::uint32_t row,
-                           std::uint16_t bankGroup)
+MemoryController::issueColumn(std::vector<Entry> &queue, std::size_t i)
 {
-    const auto &t = cfg_.timings;
-    Bank &bank = banks_[flatBank];
-    bank.openRow = row;
-    // The bank was closed, so it had no hits; count the queued entries
-    // the new row turns into hits.
-    const auto countHits = [&](const std::vector<Entry> &queue) {
-        unsigned n = 0;
-        for (const auto &e : queue)
-            n += e.bank == flatBank && e.req.coord.row == row;
-        return n;
-    };
-    bank.hits[kReads] = countHits(readQueue_);
-    bank.hits[kWrites] = countHits(writeQueue_);
-    bank.nextRd = std::max(bank.nextRd, now_ + t.tRCD);
-    bank.nextWr = std::max(bank.nextWr, now_ + t.tRCD);
-    bank.nextPre = std::max(bank.nextPre, now_ + t.tRAS);
-    bank.nextAct = std::max(bank.nextAct, now_ + t.tRC());
-
-    // tRRD spacing to every other bank, by bank-group affinity.
-    const unsigned perGroup = cfg_.geom.banksPerGroup;
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        const unsigned bg = (b / perGroup) % cfg_.geom.bankGroups;
-        const unsigned gap = (bg == bankGroup) ? t.tRRD_L : t.tRRD_S;
-        banks_[b].nextAct = std::max(banks_[b].nextAct, now_ + gap);
+    Entry &e = queue[i];
+    const unsigned q = served();
+    if (writeMode_) {
+        issueWrite(e);
+        ++writeBurst_;
+    } else {
+        issueRead(e);
+        if (readCredit_ > 0)
+            --readCredit_;
     }
 
-    actWindow_.push_back(now_);
-    while (actWindow_.size() > 4)
-        actWindow_.pop_front();
+    if (e.neededAct)
+        ++stats_.rowMisses;
+    else
+        ++stats_.rowHits;
+
+    Bank &bank = banks_[e.bank];
+    --bank.hits[q];
+    if (--bank.queued[q] == 0)
+        queuedMask_[q] &= ~(std::uint64_t{1} << e.bank);
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+    // A waiter upstream may be watching for space.
+    if (dequeueMirror_) // unwired in stand-alone controller tests
+        ++*dequeueMirror_;
+}
+
+void
+MemoryController::issueAct(Entry &e)
+{
+    const auto &t = cfg_.timings;
+    const std::uint32_t row = e.req.coord.row;
+    Bank &bank = banks_[e.bank];
+    bank.openRow = row;
+    // The bank was closed, so it had no hits; count the queued entries
+    // the new row turns into hits, in each queue that has any here.
+    const auto countHits = [&](const std::vector<Entry> &queue,
+                               unsigned q) {
+        unsigned n = 0;
+        if (bank.queued[q] != 0) {
+            for (const auto &other : queue)
+                n += other.bank == e.bank && other.req.coord.row == row;
+        }
+        return n;
+    };
+    bank.hits[kReads] = countHits(readQueue_, kReads);
+    bank.hits[kWrites] = countHits(writeQueue_, kWrites);
+    bank.timers.rd = std::max(bank.timers.rd, now_ + t.tRCD);
+    bank.timers.wr = std::max(bank.timers.wr, now_ + t.tRCD);
+    bank.timers.act = std::max(bank.timers.act, now_ + t.tRC());
+    bank.nextPre = std::max(bank.nextPre, now_ + t.tRAS);
+    Timers &group = groups_[bank.group];
+    group.act = std::max(group.act, now_ + t.tRRD_L);
+    channelTimers_.act = std::max(channelTimers_.act, now_ + t.tRRD_S);
+
+    actWindow_[actNext_] = now_;
+    actNext_ = (actNext_ + 1) % actWindow_.size();
+    if (actCount_ < actWindow_.size())
+        ++actCount_;
     ++stats_.actCommands;
+    // Sibling requests to the same (bank, row) become row hits and
+    // need no flag; requests to other rows of this bank will conflict.
+    e.neededAct = true;
 }
 
 void
@@ -327,7 +359,7 @@ MemoryController::issuePre(unsigned flatBank)
     bank.openRow = -1;
     bank.hits[kReads] = 0;
     bank.hits[kWrites] = 0;
-    bank.nextAct = std::max(bank.nextAct, now_ + cfg_.timings.tRP);
+    bank.timers.act = std::max(bank.timers.act, now_ + cfg_.timings.tRP);
     ++stats_.preCommands;
 }
 
@@ -337,15 +369,10 @@ MemoryController::issueRead(Entry &e)
     const auto &t = cfg_.timings;
     Bank &bank = banks_[e.bank];
     bank.nextPre = std::max(bank.nextPre, now_ + t.tRTP);
-
-    const unsigned perGroup = cfg_.geom.banksPerGroup;
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        const unsigned bg = (b / perGroup) % cfg_.geom.bankGroups;
-        const bool sameGroup = bg == e.req.coord.bankGroup;
-        const unsigned ccd = sameGroup ? t.tCCD_L : t.tCCD_S;
-        banks_[b].nextRd = std::max(banks_[b].nextRd, now_ + ccd);
-        banks_[b].nextWr = std::max(banks_[b].nextWr, now_ + t.tRTW);
-    }
+    Timers &group = groups_[bank.group];
+    group.rd = std::max(group.rd, now_ + t.tCCD_L);
+    channelTimers_.rd = std::max(channelTimers_.rd, now_ + t.tCCD_S);
+    channelTimers_.wr = std::max(channelTimers_.wr, now_ + t.tRTW);
 
     stats_.busBusyCycles += t.tBL;
     ++stats_.readsServed;
@@ -359,18 +386,13 @@ MemoryController::issueWrite(Entry &e)
 {
     const auto &t = cfg_.timings;
     Bank &bank = banks_[e.bank];
-    bank.nextPre = std::max(bank.nextPre, now_ + t.tCWL + t.tBL + t.tWR);
-
-    const unsigned perGroup = cfg_.geom.banksPerGroup;
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        const unsigned bg = (b / perGroup) % cfg_.geom.bankGroups;
-        const bool sameGroup = bg == e.req.coord.bankGroup;
-        const unsigned ccd = sameGroup ? t.tCCD_L : t.tCCD_S;
-        const unsigned wtr = sameGroup ? t.tWTR_L : t.tWTR_S;
-        banks_[b].nextWr = std::max(banks_[b].nextWr, now_ + ccd);
-        banks_[b].nextRd =
-            std::max(banks_[b].nextRd, now_ + t.tCWL + t.tBL + wtr);
-    }
+    const Cycle dataEnd = now_ + t.tCWL + t.tBL;
+    bank.nextPre = std::max(bank.nextPre, dataEnd + t.tWR);
+    Timers &group = groups_[bank.group];
+    group.wr = std::max(group.wr, now_ + t.tCCD_L);
+    group.rd = std::max(group.rd, dataEnd + t.tWTR_L);
+    channelTimers_.wr = std::max(channelTimers_.wr, now_ + t.tCCD_S);
+    channelTimers_.rd = std::max(channelTimers_.rd, dataEnd + t.tWTR_S);
 
     stats_.busBusyCycles += t.tBL;
     ++stats_.writesServed;
@@ -378,44 +400,59 @@ MemoryController::issueWrite(Entry &e)
     // Writes complete (from the requester's view) once issued.
     e.req.neededAct = e.neededAct;
     if (e.req.sink)
-        pending_.push_back({now_ + t.tCWL + t.tBL, e.req});
+        pending_.push_back({dataEnd, e.req});
 }
 
 Cycle
 MemoryController::fawReadyAt() const
 {
-    return actWindow_.size() < 4
+    return actCount_ < actWindow_.size()
                ? Cycle{0}
-               : actWindow_.front() + cfg_.timings.tFAW;
+               : actWindow_[actNext_] + cfg_.timings.tFAW;
 }
 
 Cycle
 MemoryController::commandReadyAt(const Bank &bank, bool writes, bool hit,
-                                 Cycle faw)
+                                 Cycle faw) const
 {
     if (hit)
-        return writes ? bank.nextWr : bank.nextRd;
+        return timerAt(bank, writes ? &Timers::wr : &Timers::rd);
     if (bank.openRow < 0)
-        return std::max(bank.nextAct, faw);
+        return std::max(timerAt(bank, &Timers::act), faw);
     return bank.nextPre;
+}
+
+void
+MemoryController::setReadiness(unsigned b, Cycle faw) const
+{
+    // FR-FCFS: a bank whose open row has hits in the served queue is
+    // pinned, so its conflicts add no PRE candidate. Only that queue:
+    // letting the idle queue's hits pin rows open deadlocks the drain.
+    const Bank &bank = banks_[b];
+    const bool hit = bank.hits[served()] != 0;
+    readyCmd_[b] = hit ? kColumn : bank.openRow < 0 ? kAct : kPre;
+    readyAt_[b] = commandReadyAt(bank, writeMode_, hit, faw);
+}
+
+void
+MemoryController::buildTable() const
+{
+    const Cycle faw = fawReadyAt();
+    tableMin_ = kNeverCycle;
+    for (std::uint64_t m = queuedMask_[served()]; m != 0; m &= m - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+        setReadiness(b, faw);
+        tableMin_ = std::min(tableMin_, readyAt_[b]);
+    }
+    tableValid_ = true;
 }
 
 Cycle
 MemoryController::earliestCommandAt() const
 {
-    // For each bank the served queue uses, the timer of the command
-    // its entries wait for. A bank whose open row has hits is pinned
-    // (mirrors tryPrecharge), so its conflicts add no PRE candidate.
-    const unsigned q = writeMode_ ? kWrites : kReads;
-    const Cycle faw = fawReadyAt();
-    Cycle ev = kNeverCycle;
-    for (const Bank &bank : banks_) {
-        if (bank.queued[q] != 0) {
-            ev = std::min(ev, commandReadyAt(bank, writeMode_,
-                                             bank.hits[q] != 0, faw));
-        }
-    }
-    return ev;
+    if (!tableValid_)
+        buildTable();
+    return tableMin_;
 }
 
 Cycle
@@ -467,8 +504,32 @@ MemoryController::checkSummaries() const
                       ": bank ", b, " queue ", q, " hits ",
                       banks_[b].hits[q], " but re-scan finds ",
                       want[b].hits[q]);
+            dx_assert(((queuedMask_[q] >> b) & 1) == (want[b].queued[q] != 0),
+                      name(), ": bank ", b, " queue ", q,
+                      " queued-bank mask disagrees with its count");
         }
     }
+
+    if (!tableValid_)
+        return;
+    const unsigned q = served();
+    const Cycle faw = fawReadyAt();
+    Cycle min = kNeverCycle;
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        if (want[b].queued[q] == 0)
+            continue;
+        const Bank &bank = banks_[b];
+        const bool hit = bank.hits[q] != 0;
+        const Cmd cmd = hit ? kColumn : bank.openRow < 0 ? kAct : kPre;
+        const Cycle at = commandReadyAt(bank, writeMode_, hit, faw);
+        dx_assert(readyCmd_[b] == cmd && readyAt_[b] == at, name(),
+                  ": bank ", b, " readiness table holds command ",
+                  unsigned{readyCmd_[b]}, " at ", readyAt_[b],
+                  " but recomputation finds ", unsigned{cmd}, " at ", at);
+        min = std::min(min, at);
+    }
+    dx_assert(tableMin_ == min, name(), ": readiness table minimum ",
+              tableMin_, " but recomputation finds ", min);
 }
 
 void

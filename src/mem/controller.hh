@@ -10,11 +10,17 @@
  * bank/bank-group/rank timing constraints from DramTimings are enforced,
  * including tCCD_S/tCCD_L bank-group spacing, tFAW, write-to-read
  * turnaround, and periodic all-bank refresh.
+ *
+ * Each spacing rule is one max() on the timer of the scope it applies
+ * to (channel, bank group or bank), so a command costs O(1) timer
+ * updates; a bank's command is ready at the max over its three scopes.
  */
 
 #ifndef DX_MEM_CONTROLLER_HH
 #define DX_MEM_CONTROLLER_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -75,6 +81,12 @@ class MemoryController final : public Component
         }
     };
 
+    /**
+     * dx_fatal names the offending field when a _L timing is below its
+     * _S twin (the bank-group scope would then undercut the channel
+     * scope) or the geometry has more banks per channel, or more bank
+     * groups, than the readiness masks and scoped timers hold.
+     */
     MemoryController(const Config &cfg, unsigned channelId);
 
     /** True if a request of the given type can be enqueued right now. */
@@ -162,9 +174,11 @@ class MemoryController final : public Component
 
     /**
      * Audit the per-bank FR-FCFS summaries against a re-scan of both
-     * queues: every entry's cached bank, and each bank's queued and
-     * open-row-hit counts per queue. dx_asserts on a mismatch. For
-     * tests; nothing on the simulation path calls it.
+     * queues: every entry's cached bank, each bank's queued and
+     * open-row-hit counts and queued-bank mask per queue, and, while
+     * it is valid, the readiness table against a fresh recomputation.
+     * dx_asserts on a mismatch. For tests; nothing on the simulation
+     * path calls it.
      */
     void checkSummaries() const;
 
@@ -173,13 +187,30 @@ class MemoryController final : public Component
     static constexpr unsigned kReads = 0;
     static constexpr unsigned kWrites = 1;
 
+    /** Capacity of the per-bank readiness masks. */
+    static constexpr unsigned kMaxBanks = 64;
+    /** Capacity of the bank-group timer scope. */
+    static constexpr unsigned kMaxBankGroups = 16;
+
+    /**
+     * The earliest cycle each command may issue as far as one scope's
+     * spacing rules go. Channel: tCCD_S, tRRD_S, tRTW, tCWL+tBL+tWTR_S
+     * and tRFC. Bank group: tCCD_L, tRRD_L and tCWL+tBL+tWTR_L. Bank:
+     * tRC, tRP and tRCD (tRAS, tRTP and tWR bound Bank::nextPre).
+     */
+    struct Timers
+    {
+        Cycle act = 0;
+        Cycle rd = 0;
+        Cycle wr = 0;
+    };
+
     struct Bank
     {
         std::int64_t openRow = -1;
-        Cycle nextAct = 0;
+        Timers timers;      //!< bank scope
         Cycle nextPre = 0;
-        Cycle nextRd = 0;
-        Cycle nextWr = 0;
+        unsigned group = 0; //!< index of the bank-group scope
         // FR-FCFS summaries, per queue (kReads/kWrites): entries
         // queued for this bank, and those of them hitting openRow.
         unsigned queued[2] = {0, 0};
@@ -199,12 +230,26 @@ class MemoryController final : public Component
         MemRequest req;
     };
 
-    // Scheduling helpers; each returns true if a command was issued.
+    /** The one command class a bank's served-queue entries wait for. */
+    enum Cmd : std::uint8_t
+    {
+        kColumn, //!< the open row has hits: RD/WR (a PRE would unpin)
+        kAct,    //!< the bank is closed
+        kPre,    //!< the open row has no hits: a conflict PRE
+    };
+
+    /** Queue index of the queue the current mode serves. */
+    unsigned served() const { return writeMode_ ? kWrites : kReads; }
+
     bool tryRefresh();
-    bool tryIssueFrom(std::vector<Entry> &queue, bool writes);
-    bool tryColumn(std::vector<Entry> &queue, bool writes);
-    bool tryActivate(std::vector<Entry> &queue);
-    bool tryPrecharge(std::vector<Entry> &queue, bool writes);
+
+    /**
+     * FR-FCFS issue from the served queue, driven by the readiness
+     * table: the first command class (column, ACT, PRE) with a ready
+     * bank, for the oldest entry of such a bank. True if a command
+     * was issued.
+     */
+    bool issueCommand();
 
     /**
      * The write-drain hysteresis condition, shared by tick() and the
@@ -216,16 +261,33 @@ class MemoryController final : public Component
     /** Earliest cycle the tFAW window admits another ACT. */
     Cycle fawReadyAt() const;
 
+    /** When @p bank's command timer @p cmd allows it, over all scopes. */
+    Cycle
+    timerAt(const Bank &bank, Cycle Timers::*cmd) const
+    {
+        return std::max({bank.timers.*cmd, groups_[bank.group].*cmd,
+                         channelTimers_.*cmd});
+    }
+
     /**
      * The per-bank command rule: when the next command an entry of
      * @p bank waits for is ready. That is the column timer when the
      * entry @p hit the open row, the ACT timer (bounded by the tFAW
      * window's @p faw) when the bank is closed, else the PRE timer.
      */
-    static Cycle commandReadyAt(const Bank &bank, bool writes, bool hit,
-                                Cycle faw);
+    Cycle commandReadyAt(const Bank &bank, bool writes, bool hit,
+                         Cycle faw) const;
 
-    /** Earliest bank-timer expiry over banks the served queue uses. */
+    /** Fill bank @p b's readiness-table entry for the served queue. */
+    void setReadiness(unsigned b, Cycle faw) const;
+
+    /** Rebuild the readiness table over the served queue's banks. */
+    void buildTable() const;
+
+    /**
+     * Earliest bank-timer expiry over banks the served queue uses: the
+     * readiness table's minimum, building the table if it is invalid.
+     */
     Cycle earliestCommandAt() const;
 
     /** Uncached hint scan; 0 encodes "could act immediately". */
@@ -234,13 +296,12 @@ class MemoryController final : public Component
     /** Recompute and cache the nextEventAt() hint (slow path). */
     void refreshEventHint() const;
 
+    /** RD or WR for queue[i], which leaves the queue. */
+    void issueColumn(std::vector<Entry> &queue, std::size_t i);
     void issueRead(Entry &e);
     void issueWrite(Entry &e);
-    void issueAct(unsigned flatBank, std::uint32_t row,
-                  std::uint16_t bankGroup);
+    void issueAct(Entry &e);
     void issuePre(unsigned flatBank);
-
-    bool actAllowedByFaw() const;
 
     unsigned flatBankFor(const DramCoord &c) const;
 
@@ -252,6 +313,9 @@ class MemoryController final : public Component
     Cycle now_ = 0;
 
     std::vector<Bank> banks_;       //!< per (rank, bg, bank) in channel
+    std::array<Timers, kMaxBankGroups> groups_{}; //!< bank-group scope
+    Timers channelTimers_;          //!< channel scope
+    std::uint64_t queuedMask_[2] = {0, 0}; //!< banks with queued entries
     std::vector<Entry> readQueue_;
     std::vector<Entry> writeQueue_;
     std::deque<PendingResp> pending_;
@@ -263,7 +327,21 @@ class MemoryController final : public Component
     unsigned readCredit_ = 0;
     bool refreshPending_ = false;
     Cycle nextRefresh_;
-    std::deque<Cycle> actWindow_;   //!< timestamps of recent ACTs (tFAW)
+    // The last four ACT cycles (tFAW), a ring whose oldest entry is at
+    // actNext_ once actCount_ reaches four.
+    std::array<Cycle, 4> actWindow_{};
+    unsigned actNext_ = 0;
+    unsigned actCount_ = 0;
+
+    // Readiness table of the served queue: for each bank in
+    // queuedMask_[served()], its next command class and the cycle that
+    // command is ready, plus their minimum. Built by the hint scan or
+    // tick(), patched by enqueue(), and invalidated by an issued
+    // command, a refresh or a write-mode switch.
+    mutable std::array<Cycle, kMaxBanks> readyAt_{};
+    mutable std::array<Cmd, kMaxBanks> readyCmd_{};
+    mutable Cycle tableMin_ = kNeverCycle;
+    mutable bool tableValid_ = false;
 
     // nextEventAt() cache: hint values are absolute cycles, so only
     // state changes (tick, enqueue) invalidate — skipCycles keeps it.

@@ -22,7 +22,7 @@ DramSystem::DramSystem(const Config &cfg)
 unsigned
 DramSystem::channelOf(Addr addr) const
 {
-    return map_.decompose(addr).channel;
+    return map_.channelOf(addr);
 }
 
 bool

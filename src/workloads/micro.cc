@@ -1,6 +1,9 @@
 #include "workloads/micro.hh"
 
+#include <algorithm>
+#include <array>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "workloads/kernels.hh"
@@ -18,6 +21,24 @@ std::uint32_t
 fillValue(std::size_t i)
 {
     return static_cast<std::uint32_t>(i * 2654435761u + 12345u);
+}
+
+/**
+ * Store the words fill(0), ..., fill(n - 1) at @p base, built on the
+ * host one chunk at a time: one bulk copy per chunk instead of a frame
+ * lookup per word, without a host copy of the whole array.
+ */
+template <typename Fill>
+void
+storeWords(SimMemory &mem, Addr base, std::size_t n, Fill fill)
+{
+    std::array<std::uint32_t, 4096> chunk;
+    for (std::size_t i = 0; i < n; i += chunk.size()) {
+        const std::size_t len = std::min(chunk.size(), n - i);
+        for (std::size_t k = 0; k < len; ++k)
+            chunk[k] = fill(i + k);
+        mem.writeBytes(base + i * 4, chunk.data(), len * 4);
+    }
 }
 
 } // namespace
@@ -71,10 +92,8 @@ GatherMicro::init(sim::System &sys)
     b_ = alloc.alloc(n_ * 4);
     c_ = alloc.alloc(n_ * 4);
 
-    for (std::size_t i = 0; i < domain_; ++i)
-        mem.write<std::uint32_t>(a_ + i * 4, fillValue(i));
-    for (std::size_t i = 0; i < n_; ++i)
-        mem.write<std::uint32_t>(b_ + i * 4, indices[i]);
+    storeWords(mem, a_, domain_, fillValue);
+    mem.writeBytes(b_, indices.data(), n_ * 4);
 
     registerAll(sys, a_, domain_ * 4);
     registerAll(sys, b_, n_ * 4);
@@ -229,14 +248,14 @@ RmwMicro::init(sim::System &sys)
     a_ = alloc.alloc(domain_ * 4);
     b_ = alloc.alloc(n_ * 4);
     c_ = alloc.alloc(n_ * 4);
-    for (std::size_t i = 0; i < domain_; ++i)
-        mem.write<std::uint32_t>(a_ + i * 4, fillValue(i) & 0xffff);
-    for (std::size_t i = 0; i < n_; ++i) {
-        mem.write<std::uint32_t>(b_ + i * 4,
-                                 static_cast<std::uint32_t>(i));
-        mem.write<std::uint32_t>(c_ + i * 4,
-                                 static_cast<std::uint32_t>(i % 7 + 1));
-    }
+    storeWords(mem, a_, domain_,
+               [](std::size_t i) { return fillValue(i) & 0xffff; });
+    storeWords(mem, b_, n_, [](std::size_t i) {
+        return static_cast<std::uint32_t>(i);
+    });
+    storeWords(mem, c_, n_, [](std::size_t i) {
+        return static_cast<std::uint32_t>(i % 7 + 1);
+    });
     registerAll(sys, a_, domain_ * 4);
     registerAll(sys, b_, n_ * 4);
     registerAll(sys, c_, n_ * 4);
@@ -384,10 +403,8 @@ ScatterMicro::init(sim::System &sys)
             std::swap(perm[i], perm[rng.below(i + 1)]);
     }
 
-    for (std::size_t i = 0; i < n_; ++i) {
-        mem.write<std::uint32_t>(b_ + i * 4, perm[i]);
-        mem.write<std::uint32_t>(c_ + i * 4, fillValue(i));
-    }
+    mem.writeBytes(b_, perm.data(), n_ * 4);
+    storeWords(mem, c_, n_, fillValue);
     registerAll(sys, a_, n_ * 4);
     registerAll(sys, b_, n_ * 4);
     registerAll(sys, c_, n_ * 4);

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "mem/address_map.hh"
+#include "mem/controller.hh"
 #include "runtime/dx100_api.hh"
 #include "sim/system.hh"
 #include "workloads/micro.hh"
@@ -133,6 +135,57 @@ TEST(FailureDeathTest, AluLatencyBeyondCompletionWheelPanics)
     OneAluOpKernel k(64);
     sys.setKernel(0, &k);
     EXPECT_DEATH(sys.run(1000), "core0: op latency 64");
+}
+
+TEST(FailureDeathTest, LongTimingBelowShortTwinIsFatal)
+{
+    // The bank-group timer scope carries each _L rule and the channel
+    // scope each _S rule, which is exact only while _L >= _S.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto build = [](auto edit) {
+        mem::MemoryController::Config cfg;
+        edit(cfg.timings);
+        mem::MemoryController ctrl(cfg, 0);
+    };
+    EXPECT_DEATH(build([](mem::DramTimings &t) { t.tCCD_L = 2; }),
+                 "ch0: tCCD_L = 2 is below tCCD_S = 4");
+    EXPECT_DEATH(build([](mem::DramTimings &t) { t.tRRD_S = 9; }),
+                 "ch0: tRRD_L = 8 is below tRRD_S = 9");
+    EXPECT_DEATH(build([](mem::DramTimings &t) { t.tWTR_L = 3; }),
+                 "ch0: tWTR_L = 3 is below tWTR_S = 4");
+}
+
+TEST(FailureDeathTest, GeometryBeyondReadinessMasksIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto build = [](auto edit) {
+        mem::MemoryController::Config cfg;
+        edit(cfg.geom);
+        mem::MemoryController ctrl(cfg, 0);
+    };
+    EXPECT_DEATH(build([](mem::DramGeometry &g) { g.ranks = 8; }),
+                 "ch0: banksPerChannel = 128 exceeds the 64");
+    EXPECT_DEATH(build([](mem::DramGeometry &g) {
+                     g.bankGroups = 32;
+                     g.banksPerGroup = 1;
+                 }),
+                 "ch0: bankGroups = 32 exceeds the 16");
+}
+
+TEST(FailureDeathTest, AddressMapFieldNotPowerOfTwoIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto build = [](auto edit) {
+        mem::DramGeometry g;
+        edit(g);
+        mem::AddressMap map(g, mem::MapOrder::kChBgCoBaRo);
+    };
+    EXPECT_DEATH(build([](mem::DramGeometry &g) { g.channels = 3; }),
+                 "channels = 3 is not a power of two");
+    EXPECT_DEATH(build([](mem::DramGeometry &g) { g.banksPerGroup = 6; }),
+                 "banksPerGroup = 6 is not a power of two");
+    EXPECT_DEATH(build([](mem::DramGeometry &g) { g.rowBytes = 6144; }),
+                 "rowBytes / kLineBytes = 96 is not a power of two");
 }
 
 TEST(FailureModes, LongestAluLatencyTakesItsFullTime)
