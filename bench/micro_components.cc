@@ -154,6 +154,7 @@ BM_RowTableInsertDrain(benchmark::State &state)
                 dx100::IndirectTables::InsertResult::kSliceFull) {
                 for (unsigned s = 0; s < cfg.slices; ++s) {
                     if (auto req = t.nextRequest(s)) {
+                        t.send(*req);
                         t.completeColumn(
                             req->handle,
                             [](std::uint32_t, std::uint16_t) {});
@@ -166,6 +167,7 @@ BM_RowTableInsertDrain(benchmark::State &state)
         while (!t.drained()) {
             for (unsigned s = 0; s < cfg.slices; ++s) {
                 if (auto req = t.nextRequest(s)) {
+                    t.send(*req);
                     t.completeColumn(
                         req->handle,
                         [](std::uint32_t, std::uint16_t) {});

@@ -606,21 +606,18 @@ Dx100::indirectRequests(IndirectUnit &u)
                 creq.origin = mem::Origin::kDx100;
                 creq.tag = req->handle;
                 creq.sink = &llcSink_;
-                if (!llcPort_ || !llcPort_->canAccept(creq)) {
-                    tables_.unsend(*req);
+                if (!llcPort_ || !llcPort_->canAccept(creq))
                     break;
-                }
                 llcPort_->request(creq);
                 ++stats_.llcReads;
             } else {
-                if (!dram_.channel(ch).canAccept(false)) {
-                    tables_.unsend(*req);
+                if (!dram_.channel(ch).canAccept(false))
                     break;
-                }
                 dram_.access(line, false, mem::Origin::kDx100,
                              req->handle, this);
                 ++stats_.dramReads;
             }
+            tables_.send(*req);
             ++u.outstandingReads;
             rr = (sliceInCh + 1) % slicesPerChannel;
             break;

@@ -9,19 +9,18 @@ namespace dx::dx100
 
 IndirectTables::IndirectTables(const Config &cfg) : cfg_(cfg)
 {
-    slices_.assign(cfg_.slices, Slice{});
+    slices_.resize(cfg_.slices);
 }
 
 void
 IndirectTables::reset(std::uint32_t elems)
 {
-    for (auto &s : slices_)
-        s.rows.clear();
+    for (auto &fifo : slices_)
+        fifo.clear();
     rows_.clear();
     freeRows_.clear();
     cols_.clear();
     words_.assign(elems, WordEntry{});
-    orderCounter_ = 0;
     colsAllocated_ = 0;
     liveRows_ = 0;
 }
@@ -32,19 +31,19 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
                        std::uint32_t iter)
 {
     dx_assert(slice < slices_.size(), "slice out of range");
-    Slice &s = slices_[slice];
+    std::vector<std::uint32_t> &fifo = slices_[slice];
 
-    // BCAM lookup: a live, not-fully-sent row entry with this row
-    // address whose SRAM still has room (or already holds the column).
+    // BCAM lookup: a row entry with this row address, not fully sent
+    // (S bit), whose SRAM still has room or already holds the column.
     Row *target = nullptr;
-    for (std::uint32_t rowIdx : s.rows) {
+    for (std::uint32_t rowIdx : fifo) {
         Row &r = rows_[rowIdx];
-        if (!r.live || r.sentAll || r.row != row)
+        if (r.row != row || r.sent == cfg_.colsPerRow)
             continue;
         // SRAM lookup: unsent entry with this column address?
-        for (ColHandle h : r.cols) {
-            Col &c = cols_[h];
-            if (!c.sent && !c.done && c.col == col) {
+        for (auto h = r.cols.begin() + r.sent; h != r.cols.end(); ++h) {
+            Col &c = cols_[*h];
+            if (c.col == col) {
                 // Chain this word onto the column's linked list.
                 words_[iter].prev = c.tail;
                 words_[iter].wordOff = wordOff;
@@ -59,7 +58,7 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
     }
 
     if (!target) {
-        if (s.rows.size() >= cfg_.rowsPerSlice)
+        if (fifo.size() >= cfg_.rowsPerSlice)
             return InsertResult::kSliceFull;
         std::uint32_t rowIdx;
         if (!freeRows_.empty()) {
@@ -71,11 +70,9 @@ IndirectTables::insert(unsigned slice, std::uint32_t row,
         }
         Row &r = rows_[rowIdx];
         r = Row{};
-        r.live = true;
         r.slice = slice;
         r.row = row;
-        r.order = ++orderCounter_;
-        s.rows.push_back(rowIdx);
+        fifo.push_back(rowIdx);
         ++liveRows_;
         target = &r;
     }
@@ -101,49 +98,28 @@ IndirectTables::setCacheHit(ColHandle h, bool hit)
 }
 
 std::optional<IndirectTables::Request>
-IndirectTables::nextRequest(unsigned slice)
+IndirectTables::nextRequest(unsigned slice) const
 {
-    Slice &s = slices_[slice];
-    // Oldest live row first (FIFO order of s.rows).
-    for (std::uint32_t rowIdx : s.rows) {
-        Row &r = rows_[rowIdx];
-        if (!r.live)
+    // Oldest row with an unsent column first (FIFO order).
+    for (std::uint32_t rowIdx : slices_[slice]) {
+        const Row &r = rows_[rowIdx];
+        if (r.sent == r.cols.size())
             continue;
-        for (ColHandle h : r.cols) {
-            Col &c = cols_[h];
-            if (c.sent || c.done)
-                continue;
-            c.sent = true;
-            // If that was the last unsent column, the row is no longer
-            // fill-matchable (BCAM S bit).
-            bool allSent = true;
-            for (ColHandle h2 : r.cols) {
-                if (!cols_[h2].sent && !cols_[h2].done) {
-                    allSent = false;
-                    break;
-                }
-            }
-            if (allSent && r.cols.size() >= cfg_.colsPerRow)
-                r.sentAll = true;
-            Request req;
-            req.handle = h;
-            req.slice = slice;
-            req.row = r.row;
-            req.col = c.col;
-            req.cacheHit = c.cacheHit;
-            return req;
-        }
+        const ColHandle h = r.cols[r.sent];
+        const Col &c = cols_[h];
+        return Request{h, r.row, c.col, c.cacheHit};
     }
     return std::nullopt;
 }
 
 void
-IndirectTables::unsend(const Request &req)
+IndirectTables::send(const Request &req)
 {
-    Col &c = cols_[req.handle];
-    dx_assert(c.sent && !c.done, "unsend of an idle column");
-    c.sent = false;
-    rows_[c.rowIdx].sentAll = false;
+    Row &r = rows_[cols_[req.handle].rowIdx];
+    dx_assert(r.sent < r.cols.size() && r.cols[r.sent] == req.handle,
+              "send of column ", req.handle,
+              ", which is not its row's next unsent column");
+    ++r.sent;
 }
 
 unsigned
@@ -160,42 +136,27 @@ IndirectTables::wordsInColumn(ColHandle h) const
 unsigned
 IndirectTables::rowsLive(unsigned slice) const
 {
-    unsigned n = 0;
-    for (std::uint32_t rowIdx : slices_[slice].rows) {
-        if (rows_[rowIdx].live)
-            ++n;
-    }
-    return n;
+    return static_cast<unsigned>(slices_[slice].size());
 }
 
 void
 IndirectTables::releaseColumn(ColHandle h)
 {
     Col &c = cols_[h];
-    dx_assert(c.sent && !c.done, "completing an idle column");
-    c.done = true;
-    Row &r = rows_[c.rowIdx];
-    ++r.colsDone;
-    maybeReleaseRow(c.rowIdx);
-}
-
-void
-IndirectTables::maybeReleaseRow(std::uint32_t rowIdx)
-{
+    const std::uint32_t rowIdx = c.rowIdx;
     Row &r = rows_[rowIdx];
-    if (!r.live || r.colsDone < r.cols.size())
+    // Handles grow with allocation, so a row's columns are ascending
+    // and its sent ones are those up to cols[sent - 1].
+    dx_assert(!c.done && r.sent > 0 && h <= r.cols[r.sent - 1],
+              "completing an idle column");
+    c.done = true;
+    if (++r.colsDone < r.cols.size())
         return;
-    // All allocated columns are done; if nothing further can be added
-    // (row closed) or everything sent, release the BCAM entry.
-    for (ColHandle h : r.cols) {
-        if (!cols_[h].done)
-            return;
-    }
-    r.live = false;
-    --liveRows_;
-    Slice &s = slices_[r.slice];
-    s.rows.erase(std::find(s.rows.begin(), s.rows.end(), rowIdx));
+    // Every column is done: release the BCAM entry.
+    std::vector<std::uint32_t> &fifo = slices_[r.slice];
+    fifo.erase(std::find(fifo.begin(), fifo.end(), rowIdx));
     freeRows_.push_back(rowIdx);
+    --liveRows_;
 }
 
 } // namespace dx::dx100

@@ -9,8 +9,10 @@
  * column's tail pointer.
  *
  * The fill stage inserts decomposed addresses; the request stage drains
- * unsent columns row-by-row in slice-interleaved order; responses walk
- * the word chain and eventually free the row entry.
+ * unsent columns row-by-row in slice-interleaved order, marking one sent
+ * only once downstream takes it; responses walk the word chain and
+ * eventually free the row entry. A row's sent columns are a prefix of
+ * its column list, so one cursor per row records them.
  */
 
 #ifndef DX_DX100_ROW_TABLE_HH
@@ -37,7 +39,6 @@ class IndirectTables
     struct Request
     {
         ColHandle handle = kNoCol;
-        unsigned slice = 0;
         std::uint32_t row = 0;
         std::uint32_t col = 0;
         bool cacheHit = false;
@@ -74,13 +75,17 @@ class IndirectTables
     void setCacheHit(ColHandle h, bool hit);
 
     /**
-     * Request stage: pick the next unsent column from @p slice (oldest
-     * row first, its columns in insertion order). Marks it sent.
+     * Request stage: the next unsent column of @p slice (oldest row
+     * first, its columns in insertion order). Only peeks; the same
+     * column comes back until send() commits it.
      */
-    std::optional<Request> nextRequest(unsigned slice);
+    std::optional<Request> nextRequest(unsigned slice) const;
 
-    /** Revert a nextRequest() (downstream refused the request). */
-    void unsend(const Request &req);
+    /**
+     * Mark @p req sent once downstream has taken it. It must be its
+     * row's next unsent column, as nextRequest() returned it.
+     */
+    void send(const Request &req);
 
     /**
      * Response stage: walk the word chain of a completed column,
@@ -121,20 +126,19 @@ class IndirectTables
     {
         std::uint32_t col = 0;
         std::int32_t tail = kNoIter;
-        bool sent = false;
         bool done = false;
         bool cacheHit = false;
         std::uint32_t rowIdx = 0; //!< owning row (index into rows_)
     };
 
+    /** A row entry; live exactly while it is in its slice's FIFO. */
     struct Row
     {
-        bool live = false;
         unsigned slice = 0;
         std::uint32_t row = 0;
-        bool sentAll = false; //!< BCAM S bit: no longer fill-matchable
-        std::uint64_t order = 0;
         std::vector<ColHandle> cols;
+        /** cols[0, sent) are sent; the BCAM S bit is sent == colsPerRow. */
+        unsigned sent = 0;
         unsigned colsDone = 0;
     };
 
@@ -144,21 +148,15 @@ class IndirectTables
         std::uint16_t wordOff = 0;
     };
 
-    struct Slice
-    {
-        std::vector<std::uint32_t> rows; //!< live row indices, FIFO
-    };
-
     void releaseColumn(ColHandle h);
-    void maybeReleaseRow(std::uint32_t rowIdx);
 
     Config cfg_;
-    std::vector<Slice> slices_;
+    /** Per slice, its live row indices, oldest first. */
+    std::vector<std::vector<std::uint32_t>> slices_;
     std::vector<Row> rows_;   //!< arena, reused via free list
     std::vector<std::uint32_t> freeRows_;
     std::vector<Col> cols_;   //!< per-execution arena
     std::vector<WordEntry> words_;
-    std::uint64_t orderCounter_ = 0;
     std::uint64_t colsAllocated_ = 0;
     unsigned liveRows_ = 0;
 };

@@ -65,7 +65,7 @@ MemoryController::enqueue(const MemRequest &req)
     Entry e;
     e.req = req;
     e.req.enqueued = now_;
-    e.bank = flatBankFor(req.coord);
+    e.bank = req.coord.bankInChannel(cfg_.geom);
     (req.write ? writeQueue_ : readQueue_).push_back(e);
     Bank &bank = banks_[e.bank];
     const unsigned q = req.write ? kWrites : kReads;
@@ -90,18 +90,6 @@ MemoryController::enqueue(const MemRequest &req)
             tableValid_ = false;
         }
     }
-
-    // An enqueue only *adds* command candidates, so the cached hint
-    // remains a conservative-early bound for everything already
-    // queued; fold in a bound for the new entry instead of reingesting
-    // both queues. Row-hit pinning is ignored here — it can only delay
-    // the entry, and the hint may run early, never late.
-    if (eventHintValid_) {
-        Cycle ev = commandReadyAt(bank, req.write, hit, fawReadyAt());
-        if (wouldToggleWriteMode())
-            ev = Cycle{0};
-        eventHint_ = std::min(eventHint_, ev);
-    }
 }
 
 bool
@@ -110,24 +98,15 @@ MemoryController::idle() const
     return readQueue_.empty() && writeQueue_.empty() && pending_.empty();
 }
 
-unsigned
-MemoryController::flatBankFor(const DramCoord &c) const
-{
-    return c.bankInChannel(cfg_.geom);
-}
-
-bool
+void
 MemoryController::deliverResponses()
 {
-    bool delivered = false;
     while (!pending_.empty() && pending_.front().ready <= now_) {
         MemRequest req = pending_.front().req;
         pending_.pop_front();
         if (req.sink)
             req.sink->complete(req);
-        delivered = true;
     }
-    return delivered;
 }
 
 bool
@@ -160,19 +139,15 @@ MemoryController::tick()
     ++stats_.cycles;
     stats_.occupancyAccum += readQueue_.size() + writeQueue_.size();
 
-    // The event hint is in absolute cycles, so an unproductive tick
-    // (nothing delivered, refreshed, toggled or issued — only the clock
-    // and the per-cycle stats advanced) leaves it valid.
-    bool productive = deliverResponses();
+    deliverResponses();
 
     if (tryRefresh()) {
-        eventHintValid_ = false;
         tableValid_ = false;
         return;
     }
 
-    // Write-drain hysteresis (single source of truth with the
-    // nextEventAt() hint: see wouldToggleWriteMode).
+    // Write-drain hysteresis (single source of truth with
+    // nextEventAt(): see wouldToggleWriteMode).
     if (wouldToggleWriteMode()) {
         if (!writeMode_) {
             writeMode_ = true;
@@ -181,18 +156,10 @@ MemoryController::tick()
             writeMode_ = false;
             readCredit_ = cfg_.writeBurstMax;
         }
-        productive = true;
         tableValid_ = false;
     }
 
-    productive |= issueCommand();
-    // A productive tick moved state the hint depends on. An
-    // unproductive tick with an *overdue* hint means the early bound
-    // fired spuriously (the hint may run early, never late) — drop it
-    // too, or the now_+1 clamp in nextEventAt() would pin the channel
-    // awake until the next productive tick.
-    if (productive || (eventHintValid_ && eventHint_ <= now_))
-        eventHintValid_ = false;
+    issueCommand();
 }
 
 bool
@@ -236,11 +203,11 @@ MemoryController::tryRefresh()
     return true;
 }
 
-bool
+void
 MemoryController::issueCommand()
 {
     if (earliestCommandAt() > now_)
-        return false;
+        return;
 
     // Ready masks per command class, from the table alone.
     const unsigned q = served();
@@ -282,7 +249,6 @@ MemoryController::issueCommand()
         ++stats_.rowConflicts;
         break;
     }
-    return true;
 }
 
 void
@@ -469,22 +435,15 @@ MemoryController::computeEventHint() const
 }
 
 void
-MemoryController::refreshEventHint() const
-{
-    eventHint_ = computeEventHint();
-    eventHintValid_ = true;
-}
-
-void
 MemoryController::checkSummaries() const
 {
     std::vector<Bank> want(banks_.size());
     const std::vector<Entry> *queues[2] = {&readQueue_, &writeQueue_};
     for (unsigned q : {kReads, kWrites}) {
         for (const auto &e : *queues[q]) {
-            dx_assert(e.bank == flatBankFor(e.req.coord), name(),
-                      ": entry cached bank ", e.bank, " but maps to ",
-                      flatBankFor(e.req.coord));
+            const unsigned bank = e.req.coord.bankInChannel(cfg_.geom);
+            dx_assert(e.bank == bank, name(), ": entry cached bank ",
+                      e.bank, " but maps to ", bank);
             dx_assert(e.req.write == (q == kWrites), name(),
                       ": entry in the wrong queue");
             ++want[e.bank].queued[q];

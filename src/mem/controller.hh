@@ -111,25 +111,17 @@ class MemoryController final : public Component
     }
 
     /**
-     * Conservative earliest controller cycle at which tick() could act:
-     * the head in-flight response, the next refresh deadline, a pending
-     * write-mode toggle, or the earliest bank-timer expiry of any entry
-     * in the queue currently being served. May be earlier than the true
-     * event (that only degrades to normal ticking), never later. The
-     * scan is cached and invalidated by tick()/enqueue(); the cached
-     * hint costs one compare at the call site.
+     * Earliest controller cycle at which tick() could act: the head
+     * in-flight response, the next refresh deadline, a pending
+     * write-mode toggle, or the readiness table's earliest command,
+     * clamped to the next tick. Never later than the true event. Each
+     * term is O(1) while the table is valid; an invalid table is
+     * rebuilt here.
      */
     Cycle
     nextEventAt() const override
     {
-        if (!eventHintValid_)
-            refreshEventHint();
-        // An overdue candidate (e.g. a second issuable entry the one-
-        // command-per-cycle limit postponed) means "could act next
-        // tick".
-        return eventHint_ == kNeverCycle
-                   ? kNeverCycle
-                   : std::max(eventHint_, now_ + 1);
+        return std::max(computeEventHint(), now_ + 1);
     }
 
     /**
@@ -246,15 +238,14 @@ class MemoryController final : public Component
     /**
      * FR-FCFS issue from the served queue, driven by the readiness
      * table: the first command class (column, ACT, PRE) with a ready
-     * bank, for the oldest entry of such a bank. True if a command
-     * was issued.
+     * bank, for the oldest entry of such a bank, if any is ready.
      */
-    bool issueCommand();
+    void issueCommand();
 
     /**
-     * The write-drain hysteresis condition, shared by tick() and the
-     * nextEventAt() hint so the two cannot diverge: true when this
-     * cycle's mode check would flip writeMode_.
+     * The write-drain hysteresis condition, shared by tick() and
+     * nextEventAt() so the two cannot diverge: true when this cycle's
+     * mode check would flip writeMode_.
      */
     bool wouldToggleWriteMode() const;
 
@@ -290,11 +281,8 @@ class MemoryController final : public Component
      */
     Cycle earliestCommandAt() const;
 
-    /** Uncached hint scan; 0 encodes "could act immediately". */
+    /** nextEventAt() before the clamp; 0 means "could act now". */
     Cycle computeEventHint() const;
-
-    /** Recompute and cache the nextEventAt() hint (slow path). */
-    void refreshEventHint() const;
 
     /** RD or WR for queue[i], which leaves the queue. */
     void issueColumn(std::vector<Entry> &queue, std::size_t i);
@@ -303,10 +291,8 @@ class MemoryController final : public Component
     void issueAct(Entry &e);
     void issuePre(unsigned flatBank);
 
-    unsigned flatBankFor(const DramCoord &c) const;
-
-    /** Deliver due responses; true when at least one was delivered. */
-    bool deliverResponses();
+    /** Deliver the responses due by now_. */
+    void deliverResponses();
 
     const Config cfg_;
     const unsigned channel_;
@@ -335,18 +321,14 @@ class MemoryController final : public Component
 
     // Readiness table of the served queue: for each bank in
     // queuedMask_[served()], its next command class and the cycle that
-    // command is ready, plus their minimum. Built by the hint scan or
+    // command is ready, plus their minimum. This is the channel's only
+    // memo: nextEventAt() reads its minimum. Built by nextEventAt() or
     // tick(), patched by enqueue(), and invalidated by an issued
     // command, a refresh or a write-mode switch.
     mutable std::array<Cycle, kMaxBanks> readyAt_{};
     mutable std::array<Cmd, kMaxBanks> readyCmd_{};
     mutable Cycle tableMin_ = kNeverCycle;
     mutable bool tableValid_ = false;
-
-    // nextEventAt() cache: hint values are absolute cycles, so only
-    // state changes (tick, enqueue) invalidate — skipCycles keeps it.
-    mutable Cycle eventHint_ = 0;
-    mutable bool eventHintValid_ = false;
 
     Stats stats_;
 };

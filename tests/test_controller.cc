@@ -339,6 +339,35 @@ TEST(Controller, QuiescentRightAfterProductiveTick)
     ASSERT_EQ(sink.done.size(), 1u);
 }
 
+TEST(Controller, EnqueueToUnservedQueueKeepsNextEvent)
+{
+    // The readiness table covers only the served queue, so a write
+    // arriving while reads are served (and below the drain watermark)
+    // leaves the channel's next event where the read's RD is due.
+    DramSystem dram(testConfig());
+    Collector sink;
+    sink.dram = &dram;
+    dram.access(0, false, Origin::kCpuDemand, 1, &sink);
+
+    MemoryController &ch = dram.channel(0);
+    ch.tick();
+    ASSERT_EQ(ch.stats().actCommands.value(), 1u);
+    ASSERT_EQ(ch.now(), 1u);
+    const Cycle rdAt = 1 + ch.config().timings.tRCD;
+    ASSERT_EQ(ch.nextEventAt(), rdAt);
+
+    DramCoord c{};
+    c.channel = 0;
+    c.bankGroup = 1;
+    dram.access(dram.addressMap().compose(c), true, Origin::kCpuDemand, 2,
+                &sink);
+    EXPECT_EQ(ch.nextEventAt(), rdAt);
+    EXPECT_TRUE(ch.quiescent());
+
+    runUntilIdle(dram);
+    EXPECT_EQ(sink.done.size(), 2u);
+}
+
 namespace
 {
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "dx100/row_table.hh"
 #include "mem/address_map.hh"
 #include "mem/controller.hh"
 #include "runtime/dx100_api.hh"
@@ -186,6 +187,31 @@ TEST(FailureDeathTest, AddressMapFieldNotPowerOfTwoIsFatal)
                  "banksPerGroup = 6 is not a power of two");
     EXPECT_DEATH(build([](mem::DramGeometry &g) { g.rowBytes = 6144; }),
                  "rowBytes / kLineBytes = 96 is not a power of two");
+}
+
+TEST(FailureDeathTest, RowTableSendOutOfOrderPanics)
+{
+    // A row's sent columns are a prefix of its column list, so only the
+    // row's next unsent column may be sent.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto sendTwice = [](bool skipAhead) {
+        dx100::IndirectTables t({1, 4, 4});
+        t.reset(2);
+        t.insert(0, 7, 0, 0, 0);
+        t.insert(0, 7, 1, 0, 1);
+        auto req = *t.nextRequest(0);
+        if (skipAhead) {
+            ++req.handle; // the row's second column
+            ++req.col;
+        } else {
+            t.send(req); // a stale peek sent again
+        }
+        t.send(req);
+    };
+    EXPECT_DEATH(sendTwice(true),
+                 "send of column 1, which is not its row's next unsent");
+    EXPECT_DEATH(sendTwice(false),
+                 "send of column 0, which is not its row's next unsent");
 }
 
 TEST(FailureModes, LongestAluLatencyTakesItsFullTime)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Row Table / Word Table tests: coalescing via word chains, row
- * grouping, capacity handling, drain ordering, and release.
+ * grouping, capacity handling, drain ordering, peek-then-send, the
+ * BCAM S bit, and release.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +47,7 @@ TEST(RowTable, CoalescesWordsInSameColumn)
     EXPECT_EQ(req->row, 5u);
     EXPECT_EQ(req->col, 7u);
     EXPECT_EQ(t.wordsInColumn(req->handle), 3u);
+    t.send(*req);
 
     std::set<std::uint32_t> iters;
     t.completeColumn(req->handle,
@@ -85,6 +87,7 @@ TEST(RowTable, SliceFullReportsAndRecovers)
     // Drain one row; space opens up.
     auto req = t.nextRequest(2);
     ASSERT_TRUE(req.has_value());
+    t.send(*req);
     t.completeColumn(req->handle, [](std::uint32_t, std::uint16_t) {});
     EXPECT_EQ(t.insert(2, 99, 0, 0, 5),
               IndirectTables::InsertResult::kNewColumn);
@@ -99,9 +102,15 @@ TEST(RowTable, DrainsOldestRowFirst)
     t.insert(0, 10, 0, 0, 1);
     t.insert(0, 20, 0, 0, 2);
 
-    auto r1 = t.nextRequest(0);
-    auto r2 = t.nextRequest(0);
-    auto r3 = t.nextRequest(0);
+    const auto sendNext = [&t] {
+        auto req = t.nextRequest(0);
+        if (req)
+            t.send(*req);
+        return req;
+    };
+    auto r1 = sendNext();
+    auto r2 = sendNext();
+    auto r3 = sendNext();
     ASSERT_TRUE(r1 && r2 && r3);
     EXPECT_EQ(r1->row, 30u);
     EXPECT_EQ(r2->row, 10u);
@@ -109,20 +118,59 @@ TEST(RowTable, DrainsOldestRowFirst)
     EXPECT_FALSE(t.nextRequest(0).has_value());
 }
 
-TEST(RowTable, UnsendRevertsSelection)
+TEST(RowTable, NextRequestPeeksUntilSend)
 {
     IndirectTables t(smallCfg());
     t.reset(4);
     t.insert(3, 1, 1, 0, 0);
+    t.insert(3, 1, 2, 0, 1);
 
+    // A refused request is simply not sent: peeking again names the
+    // same column, however often.
     auto req = t.nextRequest(3);
     ASSERT_TRUE(req.has_value());
-    EXPECT_FALSE(t.nextRequest(3).has_value());
+    for (int i = 0; i < 3; ++i) {
+        auto again = t.nextRequest(3);
+        ASSERT_TRUE(again.has_value());
+        EXPECT_EQ(again->handle, req->handle);
+    }
 
-    t.unsend(*req);
-    auto again = t.nextRequest(3);
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(again->handle, req->handle);
+    t.send(*req);
+    auto next = t.nextRequest(3);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_NE(next->handle, req->handle);
+    EXPECT_EQ(next->col, 2u);
+    t.send(*next);
+    EXPECT_FALSE(t.nextRequest(3).has_value());
+}
+
+TEST(RowTable, FullySentRowTakesNoInserts)
+{
+    IndirectTables t(smallCfg()); // colsPerRow = 2
+    t.reset(8);
+
+    // A full row with every column sent has its S bit set: a matching
+    // insert, even to a column it holds, allocates a new row entry.
+    t.insert(0, 4, 0, 0, 0);
+    t.insert(0, 4, 1, 0, 1);
+    for (int i = 0; i < 2; ++i)
+        t.send(*t.nextRequest(0));
+    EXPECT_EQ(t.insert(0, 4, 1, 0, 2),
+              IndirectTables::InsertResult::kNewColumn);
+    EXPECT_EQ(t.rowsLive(0), 2u);
+
+    // A row that is all sent but not full still takes a new column in
+    // place.
+    t.insert(1, 6, 0, 0, 3);
+    t.send(*t.nextRequest(1));
+    EXPECT_EQ(t.insert(1, 6, 0, 0, 4),
+              IndirectTables::InsertResult::kNewColumn);
+    EXPECT_EQ(t.rowsLive(1), 1u);
+    auto req = t.nextRequest(1);
+    ASSERT_TRUE(req.has_value());
+    EXPECT_EQ(req->row, 6u);
+    EXPECT_EQ(req->col, 0u);
+    EXPECT_EQ(t.wordsInColumn(req->handle), 1u);
 }
 
 TEST(RowTable, CacheHitBitTravelsWithRequest)
@@ -158,6 +206,7 @@ TEST(RowTable, RandomizedAllWordsDeliveredExactlyOnce)
                 auto req = t.nextRequest(s);
                 if (!req)
                     continue;
+                t.send(*req);
                 delivered += t.completeColumn(
                     req->handle, [&](std::uint32_t i, std::uint16_t) {
                         EXPECT_FALSE(seen[i]) << "duplicate " << i;
