@@ -39,11 +39,11 @@ const std::vector<Row> kRows = {
     {"Scatter", "baseline_1c", "dx100_1c", "6.6x"},
 };
 
-WorkloadSpec
+wl::WorkloadEntry
 micro(std::string name, wl::WorkloadFactory make)
 {
-    // Fixed-size micros ignore Scale: run fresh, never cached.
-    return {std::move(name), "micro", std::move(make), false};
+    // Fixed-size micros ignore Scale.
+    return {std::move(name), "micro", std::move(make)};
 }
 
 RunMatrix

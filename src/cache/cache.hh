@@ -93,7 +93,7 @@ class Cache final : public Component,
     }
 
     /** Advance one core cycle. */
-    void tick() override;
+    void tick();
 
     /**
      * Quiescence contract (see DESIGN.md): tick() would change nothing
@@ -108,7 +108,7 @@ class Cache final : public Component,
      * site, not a cross-TU call.
      */
     bool
-    quiescent() const override
+    quiescent() const
     {
         return verdict_.holds(now_ + 1) || quiescentSlow();
     }
@@ -122,7 +122,7 @@ class Cache final : public Component,
      * due-but-stalled head (matches nextEventAtSlow()).
      */
     Cycle
-    nextEventAt() const override
+    nextEventAt() const
     {
         return verdict_.until ? verdict_.until : nextEventAtSlow();
     }
@@ -135,7 +135,7 @@ class Cache final : public Component,
      * accumulate but the clock.
      */
     void
-    skipCycles(Cycle n) override
+    skipCycles(Cycle n)
     {
         // A watched counter is only ever set for a due head stalled on
         // the downstream port, so the accumulated counter is fixed.
@@ -152,7 +152,7 @@ class Cache final : public Component,
     }
 
     /** This cache's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
+    Cycle localNow() const { return now_; }
 
     /** True if any request, MSHR or writeback is in flight. */
     bool busy() const;

@@ -79,7 +79,7 @@ class Core final : public Component,
     void setMmioDevice(MmioDevice *dev) { mmio_ = dev; }
 
     /** Advance one core cycle. */
-    void tick() override;
+    void tick();
 
     /**
      * Quiescence contract (see DESIGN.md): tick() this cycle would
@@ -92,7 +92,7 @@ class Core final : public Component,
      * so a held verdict must cost a compare or two at the call site.
      */
     bool
-    quiescent() const override
+    quiescent() const
     {
         return verdict_.holds(now_ + 1) || quiescentSlow();
     }
@@ -102,17 +102,17 @@ class Core final : public Component,
      * the next MMIO delivery or kDxWait poll; kNeverCycle when only a
      * cache response can wake us. Only meaningful while quiescent().
      */
-    Cycle nextEventAt() const override;
+    Cycle nextEventAt() const;
 
     /**
      * Closed-form advance over @p n cycles the caller has proven
      * quiescent, accumulating exactly the stats the naive per-cycle
      * loop would have.
      */
-    void skipCycles(Cycle n) override;
+    void skipCycles(Cycle n);
 
     /** This core's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
+    Cycle localNow() const { return now_; }
 
     /** Kernel exhausted and every buffer drained. */
     bool done() const;

@@ -140,7 +140,7 @@ class Dx100 final : public Component,
     /** Port the LLC's range router steers SPD-region lines to. */
     cache::CachePort &spdPort() { return spdPort_; }
 
-    void tick() override;
+    void tick();
     bool idle() const;
 
     /** Component drain is the same predicate as idle(). */
@@ -161,7 +161,7 @@ class Dx100 final : public Component,
      * due. A busy accelerator always ticks.
      */
     bool
-    quiescent() const override
+    quiescent() const
     {
         return !unitsBusy() && inputQueue_.empty() &&
                (spdPort_.queue.empty() ||
@@ -175,7 +175,7 @@ class Dx100 final : public Component,
      * SPD entries share one fixed latency, so the head is the minimum.
      */
     Cycle
-    nextEventAt() const override
+    nextEventAt() const
     {
         return spdPort_.queue.empty() ? kNeverCycle
                                       : spdPort_.queue.front().first;
@@ -185,10 +185,10 @@ class Dx100 final : public Component,
      * Advance over @p n cycles the caller has proven quiescent: an
      * idle accelerator accumulates nothing but its clock.
      */
-    void skipCycles(Cycle n) override { now_ += n; }
+    void skipCycles(Cycle n) { now_ += n; }
 
     /** This instance's clock (kept in sync with the System clock). */
-    Cycle localNow() const override { return now_; }
+    Cycle localNow() const { return now_; }
 
     /** Tile ready bit (true = no in-flight instruction uses it). */
     bool tileReady(unsigned tile) const;

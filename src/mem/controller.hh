@@ -96,7 +96,7 @@ class MemoryController final : public Component
     void enqueue(const MemRequest &req);
 
     /** Advance one controller clock cycle. */
-    void tick() override;
+    void tick();
 
     /**
      * Quiescence contract (see DESIGN.md): the next controller tick
@@ -105,7 +105,7 @@ class MemoryController final : public Component
      * no write-mode toggle, no command issuable.
      */
     bool
-    quiescent() const override
+    quiescent() const
     {
         return nextEventAt() > now_ + 1;
     }
@@ -119,7 +119,7 @@ class MemoryController final : public Component
      * rebuilt here.
      */
     Cycle
-    nextEventAt() const override
+    nextEventAt() const
     {
         return std::max(computeEventHint(), now_ + 1);
     }
@@ -129,7 +129,7 @@ class MemoryController final : public Component
      * proven quiescent (nextEventAt() > now() + n).
      */
     void
-    skipCycles(Cycle n) override
+    skipCycles(Cycle n)
     {
         now_ += n;
         stats_.cycles += n;
@@ -141,7 +141,7 @@ class MemoryController final : public Component
     Cycle now() const { return now_; }
 
     /** Component clock: the controller-domain cycle. */
-    Cycle localNow() const override { return now_; }
+    Cycle localNow() const { return now_; }
 
     /** True when both queues and in-flight responses are empty. */
     bool idle() const;

@@ -57,7 +57,7 @@ class DramSystem final : public Component
                 std::uint64_t tag, MemRespSink *sink);
 
     /** Advance one core clock cycle. */
-    void tick() override;
+    void tick();
 
     /**
      * Advance one core clock cycle, skipping quiescent channels on a
@@ -74,17 +74,17 @@ class DramSystem final : public Component
      * controller clock domain through the divider phase; kNeverCycle
      * when every channel is idle with no timers running.
      */
-    Cycle nextEventAt() const override;
+    Cycle nextEventAt() const;
 
     /**
      * Closed-form advance over @p n core cycles the caller has proven
      * quiescent: folds the divider phase forward and skips the covered
      * controller cycles in every channel.
      */
-    void skipCycles(Cycle n) override;
+    void skipCycles(Cycle n);
 
     /** This system's core-domain clock (in sync with System's). */
-    Cycle localNow() const override { return now_; }
+    Cycle localNow() const { return now_; }
 
     /** True when all channels are drained. */
     bool idle() const;

@@ -3,17 +3,16 @@
  * Component: the common base of everything the simulator instantiates.
  *
  * A component has a name, a position in the ownership tree (parent /
- * children, dotted path like "system.core0.l1d"), the tick/quiescence
- * scheduling contract (see DESIGN.md §4c and §5) folded in as virtuals,
- * and two introspection hooks: registerStats() publishes its counters
- * under its path into a StatRegistry, portRefs() reports its request
+ * children, dotted path like "system.core0.l1d") and the three hooks
+ * a tree walk uses: drained() for the termination check and the
+ * cycle-limit report, registerStats() to publish its counters under
+ * its path into a StatRegistry, and portRefs() to report its request
  * port slots for the connectivity audit.
  *
- * The virtuals exist for generic traversal — stat registration, the
- * topology tests, debugging. The System scheduler keeps calling the
- * contract through concrete types (every migrated class is `final`), so
- * the memoized inline fast paths stay statically dispatched and the
- * naive-vs-scheduled bit-identity and performance are unchanged.
+ * The tick/quiescence contract (tick, quiescent, nextEventAt,
+ * skipCycles, localNow; DESIGN.md §4c and §5) is not virtual: the
+ * System scheduler calls it on the concrete `final` types, so the
+ * memoized inline fast paths are statically dispatched.
  * QuiescenceMemo is the one memoized-verdict shape behind those fast
  * paths in the core and the caches.
  */
@@ -110,45 +109,14 @@ class Component
     /** Dotted path from the root, e.g. "system.core0.l1d". */
     std::string path() const;
 
-    // ---- tick/quiescence contract (DESIGN.md §4c) ----------------------
-    //
-    // Passive components (never ticked — e.g. a prefetcher that acts
-    // inside its cache's tick) inherit the no-op defaults. The core,
-    // caches, DX100 and memory controllers override the full set. Two
-    // ticked components do not override quiescent(): DramSystem, which
-    // System steps through tickScheduled(), and System itself, which
-    // run() steps through tickScheduled()/skipTo().
-
-    /** Advance one local-clock cycle. */
-    virtual void tick() {}
+    // ---- tree-walk hooks -----------------------------------------------
 
     /**
-     * tick() this cycle would change nothing but the closed-form
-     * per-cycle stats; see each component's override for its memo.
+     * Nothing in flight: the termination-side twin of the ticked
+     * components' quiescent(). Passive components (e.g. a prefetcher
+     * that acts inside its cache's tick) keep the default.
      */
-    virtual bool quiescent() const { return true; }
-
-    /**
-     * Earliest cycle tick() could act again without external stimulus;
-     * kNeverCycle when only external stimulus can wake the component.
-     * Only meaningful while quiescent().
-     */
-    virtual Cycle nextEventAt() const { return kNeverCycle; }
-
-    /**
-     * Closed-form advance over @p n cycles the caller has proven
-     * quiescent, accumulating exactly the stats the naive per-cycle
-     * loop would have.
-     */
-    virtual void skipCycles(Cycle n) { (void)n; }
-
-    /** This component's clock (kept in sync with the System clock). */
-    virtual Cycle localNow() const { return 0; }
-
-    /** Nothing in flight: the termination-side twin of quiescent(). */
     virtual bool drained() const { return true; }
-
-    // ---- introspection -------------------------------------------------
 
     /** Publish counters/gauges under path() into @p reg. */
     virtual void registerStats(StatRegistry &reg) const { (void)reg; }

@@ -1,22 +1,16 @@
 /**
  * @file
- * Shared bench harness: experiment options, schema-driven RunStats
- * serialization (text and JSON) and a concurrency-safe on-disk stats
- * cache so the figure benches that share a run matrix (Fig. 9/10/11
- * use the same 24 simulations) do not re-simulate.
- *
- * The cache is safe against concurrent writers — within one bench
- * (parallel jobs) and across benches sharing bench_cache/ — because
- * entries are written to a temp file and atomically renamed into
- * place, and a miss is re-checked right before simulating.
+ * Shared bench harness: experiment options, one simulation of a
+ * workload, the schema-driven RunStats JSON emitter and the bench
+ * header. Every figure number is simulated by the running binary;
+ * nothing is read back from disk.
  */
 
 #ifndef DX_SIM_EXPERIMENT_HH
 #define DX_SIM_EXPERIMENT_HH
 
-#include <filesystem>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -27,15 +21,13 @@ namespace dx::sim
 struct ExpOptions
 {
     double scale = 0.5;      //!< workload scale factor
-    bool useCache = true;    //!< reuse cached results when present
-    std::string cacheDir = "bench_cache";
     unsigned jobs = 0;       //!< parallel jobs; 0 = hardware_concurrency
     bool json = false;       //!< also emit BENCH_<name>.json
 
     /**
-     * Parse --scale=<f|small|paper> --jobs=<n> --json --no-cache
-     * --cache-dir=<d>. Malformed values route through dx_fatal with a
-     * usage hint instead of escaping as exceptions.
+     * Parse --scale=<f|small|paper> --jobs=<n> --json. Malformed
+     * values route through dx_fatal with a usage hint instead of
+     * escaping as exceptions.
      */
     static ExpOptions parse(int argc, char **argv);
 
@@ -43,30 +35,10 @@ struct ExpOptions
     unsigned effectiveJobs() const;
 };
 
-/** Serialize / parse RunStats (one "key value" pair per line). */
-std::string serializeStats(const RunStats &s);
-std::optional<RunStats> parseStats(const std::string &text);
-
 /** Render RunStats as a flat JSON object, full double precision. */
 std::string statsToJson(const RunStats &s);
 
-/** Cache file for a (workload, config tag, scale) cell. */
-std::filesystem::path cachePath(const std::string &cacheDir,
-                                const std::string &workload,
-                                const std::string &configTag,
-                                double scale);
-
-/** Load a cache entry; nullopt if absent, partial or corrupt. */
-std::optional<RunStats> loadCachedStats(const std::filesystem::path &p);
-
-/**
- * Store a cache entry: create the cache directory (fatal on failure),
- * write to a unique temp file and atomically rename into place so a
- * concurrent reader never observes a partial entry.
- */
-void storeCachedStats(const std::filesystem::path &p, const RunStats &s);
-
-/** Run a concrete Workload instance without caching. */
+/** Simulate a concrete Workload instance on a fresh System. */
 RunStats runWorkloadOnce(wl::Workload &w, const SystemConfig &cfg);
 
 /** Geometric mean helper for "geomean" rows. */

@@ -34,10 +34,7 @@ executeJob(const Job &job)
 
 ParallelRunner::ParallelRunner(unsigned jobs) : workers_(jobs)
 {
-    if (workers_ == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        workers_ = hw > 0 ? hw : 1;
-    }
+    dx_assert(jobs > 0, "ParallelRunner needs at least one worker");
 }
 
 std::vector<JobResult>

@@ -42,7 +42,10 @@ struct JobResult
 class ParallelRunner
 {
   public:
-    /** @param jobs worker count; 0 = hardware_concurrency. */
+    /**
+     * @param jobs worker count, at least 1 (ExpOptions::effectiveJobs()
+     * resolves the hardware_concurrency default).
+     */
     explicit ParallelRunner(unsigned jobs);
 
     /**

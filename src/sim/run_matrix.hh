@@ -5,10 +5,8 @@
  * (plus an optional sparse limit per workload) and a formatter over
  * the finished MatrixResult instead of open-coding nested loops; the
  * cells execute on the parallel runner and land in declaration order.
- *
- * Fig. 9/10/11 share one matrix object (RunMatrix::paperMain()), so
- * their cache sharing holds by construction rather than by the three
- * benches happening to spell the same cache keys.
+ * Every cell is simulated on each run; Fig. 9/10/11 declare the same
+ * grid through RunMatrix::paperMain().
  */
 
 #ifndef DX_SIM_RUN_MATRIX_HH
@@ -25,20 +23,6 @@
 
 namespace dx::sim
 {
-
-/** A row of the matrix: a named workload factory. */
-struct WorkloadSpec
-{
-    std::string name;
-    std::string suite;
-    wl::WorkloadFactory make;
-    /**
-     * Micro workloads with hard-coded sizes ignore Scale and are run
-     * fresh every time (cacheable = false); the paper workloads are
-     * keyed on (name, tag, scale) in the on-disk cache.
-     */
-    bool cacheable = true;
-};
 
 /** A column of the matrix: a tagged system configuration. */
 struct ConfigSpec
@@ -57,7 +41,6 @@ struct CellResult
 {
     RunStats stats;          //!< valid only when ok
     bool ok = false;
-    bool fromCache = false;
     std::string error;       //!< failure description when !ok
 };
 
@@ -82,7 +65,7 @@ class MatrixResult
     /** Cells in declaration order (workload-major). */
     const std::vector<Cell> &cells() const { return cells_; }
 
-    const std::vector<WorkloadSpec> &workloads() const
+    const std::vector<wl::WorkloadEntry> &workloads() const
     {
         return workloads_;
     }
@@ -96,7 +79,7 @@ class MatrixResult
 
   private:
     friend class RunMatrix;
-    std::vector<WorkloadSpec> workloads_;
+    std::vector<wl::WorkloadEntry> workloads_;
     std::vector<ConfigSpec> configs_;
     std::vector<Cell> cells_;
 };
@@ -106,8 +89,8 @@ class RunMatrix
   public:
     explicit RunMatrix(std::string name);
 
-    RunMatrix &add(const wl::WorkloadEntry &entry);
-    RunMatrix &add(WorkloadSpec spec);
+    /** A row of the matrix: a named workload factory. */
+    RunMatrix &add(wl::WorkloadEntry entry);
     RunMatrix &addWorkloads(const std::vector<wl::WorkloadEntry> &es);
     RunMatrix &addConfig(std::string tag, const SystemConfig &cfg,
                          double scaleMult = 1.0);
@@ -120,19 +103,16 @@ class RunMatrix
                      std::vector<std::string> tags);
 
     const std::string &name() const { return name_; }
-    const std::vector<WorkloadSpec> &workloads() const
+    const std::vector<wl::WorkloadEntry> &workloads() const
     {
         return workloads_;
     }
     const std::vector<ConfigSpec> &configs() const { return configs_; }
 
     /**
-     * Execute every (workload, config) cell on opt.effectiveJobs()
-     * workers. Cached cells are reloaded instead of re-simulated; the
-     * cache is re-checked inside the job right before simulating, so
-     * an entry published meanwhile by a concurrent bench is picked
-     * up. A failed cell is reported (tag + error) and the rest of the
-     * matrix continues.
+     * Simulate every (workload, config) cell on opt.effectiveJobs()
+     * workers. A failed cell is reported (tag + error) and the rest of
+     * the matrix continues.
      */
     MatrixResult run(const ExpOptions &opt) const;
 
@@ -140,10 +120,11 @@ class RunMatrix
     static RunMatrix paperMain();
 
   private:
-    bool cellEnabled(const WorkloadSpec &w, const ConfigSpec &c) const;
+    bool cellEnabled(const wl::WorkloadEntry &w,
+                     const ConfigSpec &c) const;
 
     std::string name_;
-    std::vector<WorkloadSpec> workloads_;
+    std::vector<wl::WorkloadEntry> workloads_;
     std::vector<ConfigSpec> configs_;
     std::map<std::string, std::set<std::string>> limits_;
 };

@@ -94,9 +94,10 @@ struct SystemConfig
 
 /**
  * The RunStats schema, defined exactly once. X(field, type) is expanded
- * to declare the struct fields, the field visitors, serializeStats,
- * parseStats, toString and the JSON emitter — adding a stat is a
- * one-line change here and every producer/consumer picks it up.
+ * to declare the struct fields, the field visitors (forEachField,
+ * setField, fieldCount), operator==, toString and the JSON emitter —
+ * adding a stat is a one-line change here and every producer/consumer
+ * picks it up.
  *
  *   cycles                  region-of-interest cycles
  *   instructions            committed, all cores
@@ -191,7 +192,7 @@ class System final : public Component
     void warmLlc(Addr base, Addr size);
 
     /** Tick every component once (the naive reference scheduler). */
-    void tick() override;
+    void tick();
 
     /**
      * Advance one cycle, replacing each provably no-op component tick
@@ -229,9 +230,6 @@ class System final : public Component
     /** Current global cycle. */
     Cycle now() const { return now_; }
 
-    // The root is stepped by tickScheduled()/skipTo(), not through the
-    // per-component quiescent()/nextEventAt()/skipCycles() predicates.
-    Cycle localNow() const override { return now_; }
     void registerStats(StatRegistry &reg) const override;
 
     /** Run until all cores are done and the memory system drains. */

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "cpu/microop.hh"
 #include "sim/system.hh"
 
@@ -32,9 +33,16 @@ struct Scale
     std::size_t
     of(std::size_t base) const
     {
-        const auto v = static_cast<std::size_t>(
-            static_cast<double>(base) * factor);
-        return v < 16 ? 16 : v;
+        // Casting a NaN, a negative value or anything at or above 2^64
+        // to size_t is undefined: reject it here, before any workload
+        // sizes an array from it.
+        const double v = static_cast<double>(base) * factor;
+        if (!(v >= 0.0 && v < 0x1p64)) {
+            dx_fatal("workload size ", base, " x scale ", factor,
+                     " does not fit in size_t");
+        }
+        const auto n = static_cast<std::size_t>(v);
+        return n < 16 ? 16 : n;
     }
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -227,6 +228,16 @@ TEST(Scale, FloorsAtSixteen)
     EXPECT_EQ(wl::Scale{1.0}.of(1024), 1024u);
     EXPECT_EQ(wl::Scale{0.5}.of(1024), 512u);
     EXPECT_EQ(wl::Scale{0.0001}.of(1024), 16u);
+}
+
+TEST(Scale, UnrepresentableSizeIsFatal)
+{
+    // Casting these products to size_t would be undefined behaviour.
+    ScopedFatalThrow guard;
+    EXPECT_THROW(wl::Scale{1e300}.of(1024), FatalError);
+    EXPECT_THROW(wl::Scale{0x1p64}.of(1), FatalError);
+    EXPECT_THROW(wl::Scale{std::nan("")}.of(1024), FatalError);
+    EXPECT_EQ(wl::Scale{0x1p40}.of(1024), std::size_t{1} << 50);
 }
 
 TEST(Rng, DeterministicAndBounded)

@@ -41,10 +41,10 @@ run_bench() {
     for rep in $(seq "$REPS"); do
         t0=$(now_ms)
         if [ "$mode" = naive ]; then
-            DX_NAIVE_TICK=1 "$bin" --scale="$SCALE" --no-cache --json \
+            DX_NAIVE_TICK=1 "$bin" --scale="$SCALE" --json \
                 > /dev/null
         else
-            DX_NAIVE_TICK=0 "$bin" --scale="$SCALE" --no-cache --json \
+            DX_NAIVE_TICK=0 "$bin" --scale="$SCALE" --json \
                 > /dev/null
         fi
         t1=$(now_ms)

@@ -27,7 +27,7 @@ fig09=$(cd "$BUILD_DIR/bench" && pwd)/fig09_speedup
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 (cd "$work" &&
-    "$fig09" --jobs=2 --scale=0.05 --json --no-cache \
+    "$fig09" --jobs=2 --scale=0.05 --json \
         > "$repo/tests/golden/fig09_stdout.txt")
 cp "$work/BENCH_fig09.json" tests/golden/fig09_bench.json
 
